@@ -9,6 +9,7 @@ timings are emitted only in the JSON report format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -109,6 +110,22 @@ def _csv_out(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit while exact counts are rendered,
+    then restore the caller's setting.  The limit is process-wide, so other
+    threads see it lifted for that long."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python 3.10 before 3.10.7 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -144,13 +161,14 @@ def _cmd_count(args) -> int:
             row.update({"even": even, "odd": odd, "e": excess_e(n)})
         rows.append(row)
     keys = list(rows[0])
-    if args.format == "json":
-        print(json.dumps(rows))
-    elif args.format == "csv":
-        print(_csv_out(keys, [[r[k] for k in keys] for r in rows]), end="")
-    else:
-        for r in rows:
-            print(" ".join(str(r[k]) for k in keys))
+    with _unlimited_int_digits():
+        if args.format == "json":
+            print(json.dumps(rows))
+        elif args.format == "csv":
+            print(_csv_out(keys, [[r[k] for k in keys] for r in rows]), end="")
+        else:
+            for r in rows:
+                print(" ".join(str(r[k]) for k in keys))
     return 0
 
 

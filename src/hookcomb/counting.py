@@ -1,15 +1,19 @@
 """Enumeration streams and exact counts for partitions graded by perimeter.
 
-Perimeter-graded enumeration runs over boundary words: the words of length
-n + 1 (first letter E, last letter N, the n - 1 letters in between free) are
-exactly the partitions with perimeter n, so sweeping a counter from 0 to
-2^(n-1) - 1 visits each such partition once.  Counting never overflows:
-everything is a Python int.
+Class members of perimeter n are generated and counted part by part from
+the class's transition table (:func:`hookcomb.partitions.transitions`), so
+the work follows the output, not the number of partitions.  The boundary
+words of length n + 1 (first letter E, last letter N, the n - 1 letters in
+between free) are exactly the partitions with perimeter n;
+:func:`parts_by_perimeter` sweeps all 2^(n-1) of them and is kept as the
+brute-force route the verification checks compare against.  Counting never
+overflows: everything is a Python int.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -18,8 +22,10 @@ from .partitions import (
     ConstraintClass,
     DISTINCT,
     Partition,
+    PartTransitions,
     UNRESTRICTED,
     parts_are_member,
+    transitions,
 )
 from .profile import parts_from_word_bits
 
@@ -91,25 +97,74 @@ def parts_by_perimeter(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_iter_parts_by_perimeter(n), reverse=True))
 
 
+def _completions(step: PartTransitions, n: int) -> tuple[list, list[list[int]]]:
+    """The class's transition table up to perimeter ``n``, and its
+    completion counts.
+
+    ``nexts[x]`` lists the parts allowed after part ``x``, largest first;
+    ``table[r][x]`` counts the ways to follow part ``x`` with exactly ``r``
+    more parts of the class, for ``r + x <= n`` (index 0 unused).  Row r
+    sums row r - 1 over ``nexts``, one pass over the O(n^2) entries.
+    """
+    nexts = [()] + [step.follows(x) for x in range(1, n + 1)]
+    table = [[0] + [int(step.last(x)) for x in range(1, n + 1)]]
+    for r in range(1, n):
+        below = table[-1]
+        table.append([0] + [sum(below[y] for y in nexts[x]) for x in range(1, n - r + 1)])
+    return nexts, table
+
+
 def enumerate_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> Iterator[Partition]:
     """Each partition with perimeter ``n`` in class ``c``, exactly once, in
-    reverse-lexicographic part order."""
-    for parts in parts_by_perimeter(n):
-        if parts_are_member(parts, c):
-            yield Partition(parts)
+    reverse-lexicographic part order.
+
+    A depth-first walk of the class's transition table: first parts from n
+    down (a first part a fixes the length n + 1 - a), next parts largest
+    first, and only into parts that can still be completed, so the work is
+    proportional to the output rather than to the 2^(n-1) boundary words.
+    """
+    if n < 1:
+        raise ValueError("perimeter must be at least 1")
+    step = transitions(c)
+    nexts, table = _completions(step, n)
+    # viable[r][x]: the next parts after x from which r - 1 more parts can follow
+    viable = [None] + [
+        [()] + [tuple(y for y in nexts[x] if below[y]) for x in range(1, n - r + 1)]
+        for r, below in enumerate(table[:-1], start=1)
+    ]
+    for a in range(n, 0, -1):
+        left = n - a  # parts still to place after the first
+        if not (step.first(a) and table[left][a]):
+            continue
+        if left == 0:
+            yield Partition((a,))
+            continue
+        parts = [a]
+        pending = [iter(viable[left][a])]
+        while pending:
+            depth = len(pending)
+            if depth == left:
+                prefix = tuple(parts)
+                for y in pending.pop():
+                    yield Partition(prefix + (y,))
+                parts.pop()
+                continue
+            for y in pending[-1]:
+                parts.append(y)
+                pending.append(iter(viable[left - depth][y]))
+                break
+            else:
+                pending.pop()
+                parts.pop()
 
 
 def _gap_count(d: int, n: int) -> int:
     # c(n) = c(n-1) + c(n-d-1) with c(1) = ... = c(d+1) = 1: the expansion of
-    # q / (1 - q - q^{d+1}).
-    if n <= d + 1:
-        return 1
-    vals = [0] * (n + 1)
-    for i in range(1, min(d + 1, n) + 1):
-        vals[i] = 1
-    for i in range(d + 2, n + 1):
-        vals[i] = vals[i - 1] + vals[i - d - 1]
-    return vals[n]
+    # q / (1 - q - q^{d+1}).  Only the last d + 1 values are kept.
+    window = deque([1] * (d + 1), maxlen=d + 1)
+    for _ in range(d + 2, n + 1):
+        window.append(window[-1] + window[0])
+    return window[-1]
 
 
 def count_by_perimeter(n: int, c: ConstraintClass) -> int:
@@ -129,23 +184,14 @@ def count_by_perimeter(n: int, c: ConstraintClass) -> int:
     return _gap_count(c.d, n)
 
 
-def _refined_stat(parts: tuple[int, ...], key: RefinementKey) -> int:
-    if isinstance(key, LargestPart):
-        return parts[0]
-    if isinstance(key, NumParts):
-        return len(parts)
-    if isinstance(key, Rank):
-        return parts[0] - len(parts)
-    raise InvalidKeyForClass(f"unsupported refinement key {key!r}")
-
-
 def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
     """Count the class-``c`` partitions with perimeter ``n`` and the given
     refined statistic.
 
     Closed forms used where available (and cross-checked by the test
-    suite); other combinations fall back to enumeration.  Out-of-range key
-    values count 0 rather than raising.
+    suite); other combinations are read off the class's completion table,
+    a count over (previous part, parts left).  Out-of-range key values count
+    0 rather than raising.
     """
     if n < 1:
         raise ValueError("perimeter must be at least 1")
@@ -164,7 +210,21 @@ def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
         # the word has v E's, one fixed at the front: choose the rest among
         # the n - 1 free letters
         return binom(n - 1, v - 1)
-    return sum(1 for parts in parts_by_perimeter(n) if parts_are_member(parts, c) and _refined_stat(parts, key) == v)
+    # Given the perimeter, the largest part a fixes the length n + 1 - a and
+    # the rank 2a - n - 1, so every key picks one largest part.
+    if isinstance(key, LargestPart):
+        a = v
+    elif isinstance(key, NumParts):
+        a = n + 1 - v
+    elif (v + n + 1) % 2 == 0:
+        a = (v + n + 1) // 2
+    else:
+        return 0
+    step = transitions(c)
+    if not (1 <= a <= n and step.first(a)):
+        return 0
+    _, table = _completions(step, n)
+    return table[n - a][a]
 
 
 _PARITY_ENUM_LIMIT = 16

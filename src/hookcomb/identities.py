@@ -80,6 +80,14 @@ class TheoremReport:
         return out
 
 
+def _require(minimum: int, **params: int) -> None:
+    """Reject a depth below ``minimum``: a check over an empty range would
+    compare nothing and still report a pass."""
+    for name, value in params.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 def _finish(check_id: str, params: dict, counterexample: dict | None, t0: float) -> TheoremReport:
     return TheoremReport(
         check_id=check_id,
@@ -147,6 +155,7 @@ def verify_franklin(max_size: int = 40) -> TheoremReport:
     distinct-part partitions of size <= max_size; fixed points sit exactly
     at the generalized pentagonal sizes, one each, with the staircase shape
     the surviving series terms predict."""
+    _require(1, max_size=max_size)
     t0 = time.perf_counter()
     params = {"max_size": max_size}
     fixed: list[Partition] = []
@@ -197,6 +206,8 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
     """Distinct-part and odd-part partitions with perimeter n are
     equinumerous, counted by the Fibonacci number F(n): enumeration up to
     enum_limit, the generic gap recurrence up to max_n."""
+    _require(1, max_n=max_n)
+    _require(0, enum_limit=enum_limit)
     t0 = time.perf_counter()
     params = {"max_n": max_n, "enum_limit": enum_limit}
     for n in range(1, max_n + 1):
@@ -219,6 +230,7 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
 def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
     """There are 2^(n-1) partitions with perimeter n, by exhaustive
     boundary-word enumeration."""
+    _require(1, max_n=max_n)
     t0 = time.perf_counter()
     params = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -233,6 +245,7 @@ def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
 def verify_refinements(max_n: int = 14) -> TheoremReport:
     """The three refined equinumerations between distinct-part and odd-part
     partitions of fixed perimeter, with their binomial counts."""
+    _require(1, max_n=max_n)
     t0 = time.perf_counter()
     params = {"max_n": max_n}
     for n in range(1, max_n + 1):
@@ -283,6 +296,8 @@ def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> Theorem
     perimeter follows the period-6 pattern 0, -1, -1, 0, 1, 1; four
     computations (closed form, coupled recurrence, binomial sums,
     enumeration) and the series expansion of -q / (1 - q + q^2) agree."""
+    _require(1, max_n=max_n)
+    _require(0, enum_limit=enum_limit)
     t0 = time.perf_counter()
     params = {"max_n": max_n, "enum_limit": enum_limit}
     (q,) = poly_gens("q")
@@ -344,6 +359,7 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     residue-and-gap class is reproduced by block-grammar generation."""
     if d < 1:
         raise InvalidD("d must be a positive integer")
+    _require(1, max_n=max_n)
     t0 = time.perf_counter()
     params = {"d": d, "max_n": max_n}
     dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
@@ -375,6 +391,7 @@ def verify_gf_coefficients(c: ConstraintClass, qbound: int = 12) -> TheoremRepor
     """The closed rational form for class ``c`` matches, coefficient by
     coefficient in x, y and q, the brute-force sum over enumerated
     partitions of x^(largest) y^(length) q^(perimeter)."""
+    _require(1, qbound=qbound)
     t0 = time.perf_counter()
     params = {"class": str(c), "qbound": qbound}
     expanded = expand(gf_of_class(c), qbound)
@@ -491,6 +508,7 @@ def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
     alternating q-series, raw enumeration, and the surviving pentagonal
     terms.  Enumeration after Franklin cancellation is checked as a fourth
     route."""
+    _require(1, qbound=qbound)
     t0 = time.perf_counter()
     params = {"qbound": qbound}
     a = _series_andrews_lhs(qbound)
@@ -580,6 +598,7 @@ def verify_refined_identity(qbound: int = 15) -> TheoremReport:
     agree; substituting x -> y, y -> -y collapses it to the single-variable
     identity; and regrading the enumeration by perimeter recovers the
     rational form for distinct parts."""
+    _require(1, qbound=qbound)
     t0 = time.perf_counter()
     g_limit = regrade_limit(qbound)
     params = {"qbound": qbound, "regrade_perimeter_limit": g_limit}
@@ -667,6 +686,7 @@ def verify_rogers_fine(qbound: int = 10) -> TheoremReport:
     """Both sides of the Rogers-Fine transformation, specialized with
     alpha = aq, beta = bq, tau = btq so every coefficient is an integer
     polynomial in a, b, t, agree termwise to the q-degree bound."""
+    _require(1, qbound=qbound)
     t0 = time.perf_counter()
     params = {"qbound": qbound, "alpha": "a*q", "beta": "b*q", "tau": "b*t*q"}
     lhs, rhs = rogers_fine_sides(qbound)
@@ -697,12 +717,16 @@ _CONGRUENCE_FAMILIES = (
     ("h_DO(6n) == h_DE(6n) == 0 mod 4", 6, 0, "parity", 4, 0),
     ("h_DO(6n+3) == h_DE(6n+3) == 1 mod 8", 6, 3, "parity", 8, 1),
 )
+# the depth at which every family has been tested at least once
+_CONGRUENCE_MIN_N = max(offset or step for _, step, offset, *_ in _CONGRUENCE_FAMILIES)
 
 
 def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
     """The seven stated congruences for distinct-part perimeter counts, for
     every argument (multiplier form) up to max_n; the fast counts are
     spot-checked against enumeration for small arguments."""
+    _require(_CONGRUENCE_MIN_N, max_n=max_n)
+    _require(0, enum_limit=enum_limit)
     t0 = time.perf_counter()
     params = {"max_n": max_n, "enum_limit": enum_limit}
     for label, step, offset, which, modulus, residue in _CONGRUENCE_FAMILIES:
@@ -734,6 +758,7 @@ def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
 def verify_fibonacci(max_add: int = 30, max_div: int = 60) -> TheoremReport:
     """The addition formula F(m+n) = F(m+1) F(n) + F(m) F(n-1) and the
     divisibility rule m | n implies F(m) | F(n)."""
+    _require(1, max_add=max_add, max_div=max_div)
     t0 = time.perf_counter()
     params = {"max_add": max_add, "max_div": max_div}
     fib = [fibonacci(i) for i in range(max_add + max_div + 2)]
@@ -758,9 +783,11 @@ def scan_congruence(
     """Generic scanner: does h_D(step * n + offset) == residue (mod modulus)
     hold for every argument up to max_n?  Plumbing for exploration; nothing
     beyond the seven stated congruences is asserted anywhere."""
+    _require(1, step=step)
+    arg = offset if offset >= 1 else step
+    _require(arg, max_n=max_n)
     t0 = time.perf_counter()
     params = {"step": step, "offset": offset, "modulus": modulus, "residue": residue, "max_n": max_n}
-    arg = offset if offset >= 1 else step
     while arg <= max_n:
         value = _h_distinct(arg)
         if value % modulus != residue:

@@ -5,6 +5,12 @@ The central statistic here is the *perimeter* ``parts[0] + len(parts) - 1``,
 which equals the largest hook length of the Young diagram (the hook of the
 top-left cell runs along the whole first row and first column).
 
+Each constraint class also has a transition table (:func:`transitions`):
+which first parts are allowed, which parts may follow a given part, and
+which last parts are allowed.  Enumeration and refined counting walk that
+table; :func:`parts_are_member` stays a separate predicate written from the
+class definitions, so the two can check each other.
+
 All values are immutable and all functions are pure, so everything in this
 module is safe to share between threads.
 """
@@ -12,7 +18,7 @@ module is safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class PartitionError(ValueError):
@@ -197,6 +203,56 @@ def parts_are_member(parts: tuple[int, ...], c: ConstraintClass) -> bool:
             return False
         prev = nxt
     return True
+
+
+@dataclass(frozen=True)
+class PartTransitions:
+    """A constraint class as a rule on consecutive parts.
+
+    A parts tuple belongs to the class exactly when ``first`` accepts its
+    first part, each later part is among ``follows`` of the part before it,
+    and ``last`` accepts its last part.  ``follows(x)`` lists the allowed
+    next parts largest first, and is only asked about parts ``x`` that are
+    themselves allowed in the class.
+    """
+
+    first: Callable[[int], bool]
+    follows: Callable[[int], Sequence[int]]
+    last: Callable[[int], bool]
+
+
+def _always(x: int) -> bool:
+    return True
+
+
+def transitions(c: ConstraintClass) -> PartTransitions:
+    """The transition table of class ``c``: every class is a local
+    condition on consecutive parts (and on the last part against a virtual
+    trailing 0), so members can be generated and counted part by part."""
+    kind, d = c.kind, c.d
+    if kind == "any":
+        return PartTransitions(_always, lambda x: range(x, 0, -1), _always)
+    if kind == "distinct":
+        return PartTransitions(_always, lambda x: range(x - 1, 0, -1), _always)
+    if kind == "odd":
+        return PartTransitions(lambda x: x % 2 == 1, lambda x: range(x, 0, -2), _always)
+    if kind == "ddistinct":
+        return PartTransitions(_always, lambda x: range(x - d, 0, -1), _always)
+    if kind == "modone":
+        m = d + 1
+        return PartTransitions(lambda x: x % m == 1, lambda x: range(x, 0, -m), _always)
+    # gclass: the gap to the next part (or to the virtual trailing 0) is at
+    # most 2d + 1, and strictly less at parts == 1 mod 2d + 1
+    mod = 2 * d + 1
+    residues = (1, (d + 2) % mod)
+
+    def max_gap(x: int) -> int:
+        return mod - 1 if x % mod == 1 else mod
+
+    def follows(x: int) -> list[int]:
+        return [y for y in range(x, max(x - max_gap(x) - 1, 0), -1) if y % mod in residues]
+
+    return PartTransitions(lambda x: x % mod in residues, follows, lambda x: x <= max_gap(x))
 
 
 def is_member(p: Partition, c: ConstraintClass) -> bool:

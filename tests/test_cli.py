@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -126,6 +127,21 @@ def test_count_split_parity_needs_distinct(capsys):
     assert "split-parity" in err
 
 
+def test_count_beyond_int_str_digit_limit(capsys):
+    # 2^29999 has 9,031 digits, past Python's default 4,300-digit limit
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "count", "--perimeter", "30000", "--class", "any")
+    assert code == 0
+    n, digits = out.split()
+    assert n == "30000" and digits.isdigit() and len(digits) > 4300
+    prime = (1 << 61) - 1
+    residue = 0
+    for ch in digits:  # int(digits) itself would hit the limit
+        residue = (residue * 10 + ord(ch) - ord("0")) % prime
+    assert residue == pow(2, 29999, prime)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_count_csv_header(capsys):
     code, out, _ = run(capsys, "count", "--perimeter", "2..3", "--class", "any", "--format", "csv")
     assert code == 0
@@ -194,6 +210,18 @@ def test_verify_all_reduced_depth(capsys):
     assert len(lines) >= 10
     assert all(line.startswith("[PASS]") for line in lines)
     assert lines == sorted(lines, key=lambda s: s.split()[1])  # ordered by check id
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "all", "--max-n", "0"), ("verify", "rogers-fine", "--qbound", "-3")],
+    ids=["all-max-n-0", "rogers-fine-qbound-neg"],
+)
+def test_verify_empty_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "PASS" not in out
+    assert "must be at least" in err
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):

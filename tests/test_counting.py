@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -23,10 +24,19 @@ from hookcomb import (
     mod_one,
     q_eo,
 )
+from hookcomb.counting import parts_by_perimeter
+from hookcomb.identities import _all_classes
+from hookcomb.partitions import parts_are_member
 
 ALL_CLASSES = [UNRESTRICTED, DISTINCT, ODD] + [
     f(d) for d in (1, 2, 3, 4, 5) for f in (d_distinct, mod_one, g_class)
 ]
+
+
+def brute_force_members(n, c):
+    """Independent route: filter every boundary word of perimeter n with the
+    membership predicate (sorted reverse-lexicographically)."""
+    return [p for p in parts_by_perimeter(n) if parts_are_member(p, c)]
 
 
 def partitions_by_perimeter_oracle(n):
@@ -81,6 +91,12 @@ def test_count_equals_stream_length(c):
         assert count_by_perimeter(n, c) == sum(1 for _ in enumerate_by_perimeter(n, c))
 
 
+@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+def test_enumeration_matches_brute_force_filter(c):
+    for n in range(1, 15):
+        assert [p.parts for p in enumerate_by_perimeter(n, c)] == brute_force_members(n, c), n
+
+
 # ---------------------------------------------------------------------------
 # closed-form counts
 
@@ -102,6 +118,10 @@ def test_gap_recurrence_values():
     assert [count_by_perimeter(n, d_distinct(2)) for n in range(1, 8)] == [1, 1, 1, 2, 3, 4, 6]
     # d=3 at perimeter 9: c(n) = c(n-1) + c(n-4)
     assert count_by_perimeter(9, d_distinct(3)) == 7
+
+
+def test_gap_count_at_large_perimeter():
+    assert count_by_perimeter(10**5, d_distinct(1)) == fibonacci(10**5)
 
 
 def test_fibonacci_convention():
@@ -147,6 +167,21 @@ def test_count_refined_matches_enumeration():
                 hist = Counter(stat(p) for p in enumerate_by_perimeter(n, c))
                 for v in range(-2, n + 2):
                     assert count_refined(n, key_type(v), c) == hist.get(v, 0), (n, c, key_type, v)
+
+
+@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+def test_count_refined_matches_brute_force_histogram(c):
+    stats = (
+        (LargestPart, lambda parts: parts[0]),
+        (NumParts, len),
+        (Rank, lambda parts: parts[0] - len(parts)),
+    )
+    for n in range(1, 15):
+        members = brute_force_members(n, c)
+        for key_type, stat in stats:
+            hist = Counter(stat(parts) for parts in members)
+            for v in range(-2, n + 2):
+                assert count_refined(n, key_type(v), c) == hist.get(v, 0), (n, key_type, v)
 
 
 def test_count_refined_row_sums():

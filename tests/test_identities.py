@@ -211,3 +211,38 @@ def test_run_checks_registry():
 def test_run_checks_d_chain_expands():
     reports = run_checks("d-chain", max_n=8)
     assert [r.params["d"] for r in reports] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        (verify_euler_analogue, {"max_n": 0}),
+        (verify_euler_analogue, {"enum_limit": -1}),
+        (verify_powers_of_two, {"max_n": 0}),
+        (verify_refinements, {"max_n": -2}),
+        (verify_pentagonal_analogue, {"max_n": 0}),
+        (verify_pentagonal_analogue, {"enum_limit": -1}),
+        (verify_d_chain, {"d": 1, "max_n": 0}),
+        (verify_gf_coefficients, {"c": DISTINCT, "qbound": 0}),
+        (verify_franklin, {"max_size": 0}),
+        (verify_andrews_identity, {"qbound": 0}),
+        (verify_refined_identity, {"qbound": -1}),
+        (verify_rogers_fine, {"qbound": -3}),
+        (verify_congruences, {"max_n": 0}),
+        (verify_congruences, {"max_n": 5}),  # the 6n families would be skipped
+        (verify_congruences, {"enum_limit": -1}),
+        (verify_fibonacci, {"max_add": 0}),
+        (verify_fibonacci, {"max_div": 0}),
+        (scan_congruence, {"step": 0, "offset": 0, "modulus": 2, "residue": 0}),
+        (scan_congruence, {"step": 3, "offset": 0, "modulus": 2, "residue": 0, "max_n": 0}),
+        (scan_congruence, {"step": 6, "offset": 9, "modulus": 2, "residue": 0, "max_n": 8}),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or ",".join(f"{k}={x}" for k, x in v.items()),
+)
+def test_checks_reject_empty_ranges(check, kwargs):
+    with pytest.raises(ValueError):
+        check(**kwargs)
+
+
+def test_zero_enum_limit_still_compares():
+    assert verify_euler_analogue(max_n=5, enum_limit=0).passed
