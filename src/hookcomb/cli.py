@@ -92,10 +92,11 @@ def partitions_from_json(text: str) -> list[Partition]:
     return [make_partition(entry) for entry in data]
 
 
-def _default_qbound() -> int:
+def _env_qbound() -> int | None:
+    """The qbound set by the environment, or None when it is unset or empty."""
     raw = os.environ.get(_ENV_QBOUND)
-    if raw is None:
-        return DEFAULT_QBOUND
+    if not raw:
+        return None
     try:
         return int(raw)
     except ValueError:
@@ -173,7 +174,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    qbound = args.qbound if args.qbound is not None else _default_qbound()
+    qbound = args.qbound if args.qbound is not None else _env_qbound()
+    if qbound is None:
+        qbound = DEFAULT_QBOUND
     poly = expand(gf_of_class(args.class_spec), qbound)
     if args.eval:
         poly = poly.substitute(args.eval)
@@ -194,9 +197,8 @@ def _cmd_gf(args) -> int:
 def _cmd_verify(args) -> int:
     overrides = {
         "max_n": args.max_n,
-        "qbound": args.qbound if args.qbound is not None else (
-            int(os.environ[_ENV_QBOUND]) if os.environ.get(_ENV_QBOUND) else None
-        ),
+        # unset, each check keeps its own default qbound
+        "qbound": args.qbound if args.qbound is not None else _env_qbound(),
         "max_size": args.max_size,
         "enum_limit": args.enum_limit,
         "d": args.d,

@@ -20,11 +20,9 @@ from typing import Iterator
 
 from .partitions import (
     ConstraintClass,
-    DISTINCT,
     Partition,
     PartTransitions,
     UNRESTRICTED,
-    parts_are_member,
     transitions,
 )
 from .profile import parts_from_word_bits
@@ -61,12 +59,17 @@ def binom(n: int, k: int) -> int:
 
 def fibonacci(n: int) -> int:
     """F(0) = 0, F(1) = F(2) = 1; exactly the count of distinct-part
-    partitions with perimeter n for n >= 1."""
+    partitions with perimeter n for n >= 1.
+
+    Fast doubling over the bits of n, high to low: from (F(k), F(k+1)),
+    F(2k) = F(k) (2 F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
     if n < 0:
         raise ValueError("n must be non-negative")
     a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
+    for i in range(n.bit_length() - 1, -1, -1):
+        a, b = a * (2 * b - a), a * a + b * b
+        if (n >> i) & 1:
+            a, b = b, a + b
     return a
 
 
@@ -227,49 +230,17 @@ def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
     return table[n - a][a]
 
 
-_PARITY_ENUM_LIMIT = 16
-
-
-def _parity_split_recurrence(n: int) -> tuple[int, int]:
+def count_parity_split(n: int) -> tuple[int, int]:
+    """Distinct-part partitions with perimeter ``n``, split by the parity of
+    the number of parts: (even count, odd count), by the coupled recurrence
+    even(n) = even(n-1) + odd(n-2), odd(n) = odd(n-1) + even(n-2)."""
+    if n < 1:
+        raise ValueError("perimeter must be at least 1")
     even, odd = [0, 0, 0], [0, 1, 1]
     for i in range(3, n + 1):
         even.append(even[i - 1] + odd[i - 2])
         odd.append(odd[i - 1] + even[i - 2])
     return even[n], odd[n]
-
-
-def _parity_split_binomials(n: int) -> tuple[int, int]:
-    even = sum(binom(n - 2 * k - 2, 2 * k + 1) for k in range((n + 1) // 2 + 1))
-    odd = sum(binom(n - 2 * k - 1, 2 * k) for k in range((n + 1) // 2 + 1))
-    return even, odd
-
-
-@lru_cache(maxsize=None)
-def _parity_split_enumeration(n: int) -> tuple[int, int]:
-    even = odd = 0
-    for parts in parts_by_perimeter(n):
-        if parts_are_member(parts, DISTINCT):
-            if len(parts) % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-    return even, odd
-
-
-def count_parity_split(n: int) -> tuple[int, int]:
-    """Distinct-part partitions with perimeter ``n``, split by the parity of
-    the number of parts: (even count, odd count).
-
-    Computed by the coupled recurrence and by the binomial sums, which must
-    agree; brute-force enumeration is checked as well while it stays cheap.
-    """
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
-    rec = _parity_split_recurrence(n)
-    assert rec == _parity_split_binomials(n), f"parity-split routes disagree at n={n}"
-    if n <= _PARITY_ENUM_LIMIT:
-        assert rec == _parity_split_enumeration(n), f"parity-split enumeration disagrees at n={n}"
-    return rec
 
 
 _EXCESS_BY_RESIDUE = (0, -1, -1, 0, 1, 1)

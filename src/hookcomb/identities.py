@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from itertools import compress, repeat
+from typing import Callable, Iterator
 
 from .counting import (
     LargestPart,
@@ -96,6 +97,19 @@ def _finish(check_id: str, params: dict, counterexample: dict | None, t0: float)
         counterexample=counterexample,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
+
+
+def _brute_members(n: int, c: ConstraintClass) -> Iterator[tuple[int, ...]]:
+    """Brute-force route: the parts tuples of perimeter ``n`` that
+    :func:`parts_are_member` accepts, out of all 2^(n-1) boundary words."""
+    all_parts = parts_by_perimeter(n)
+    return compress(all_parts, map(parts_are_member, all_parts, repeat(c)))
+
+
+def _brute_count(n: int, c: ConstraintClass) -> int:
+    """How many of the 2^(n-1) boundary words of perimeter ``n`` decode to
+    a member of ``c``."""
+    return sum(map(parts_are_member, parts_by_perimeter(n), repeat(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +231,8 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
             "recurrence modone(1)": count_by_perimeter(n, mod_one(1)),
         }
         if n <= enum_limit:
-            all_parts = parts_by_perimeter(n)
-            routes["enumeration distinct"] = sum(1 for parts in all_parts if parts_are_member(parts, DISTINCT))
-            routes["enumeration odd"] = sum(1 for parts in all_parts if parts_are_member(parts, ODD))
+            routes["enumeration distinct"] = _brute_count(n, DISTINCT)
+            routes["enumeration odd"] = _brute_count(n, ODD)
         for label, value in routes.items():
             if value != fib:
                 ce = {"n": n, "route": label, "got": value, "fibonacci": fib}
@@ -249,9 +262,8 @@ def verify_refinements(max_n: int = 14) -> TheoremReport:
     t0 = time.perf_counter()
     params = {"max_n": max_n}
     for n in range(1, max_n + 1):
-        all_parts = parts_by_perimeter(n)
-        distinct = [p for p in all_parts if parts_are_member(p, DISTINCT)]
-        odd = [p for p in all_parts if parts_are_member(p, ODD)]
+        distinct = list(_brute_members(n, DISTINCT))
+        odd = list(_brute_members(n, ODD))
         for k in range(0, n + 2):
             cases = [
                 (
@@ -291,6 +303,21 @@ def verify_refinements(max_n: int = 14) -> TheoremReport:
     return _finish("refinements", params, None, t0)
 
 
+def _parity_split_binomials(n: int) -> tuple[int, int]:
+    """count_parity_split by summing the length-k counts binom(n-k, k-1)
+    over even and over odd k."""
+    even = sum(binom(n - 2 * k - 2, 2 * k + 1) for k in range((n + 1) // 2 + 1))
+    odd = sum(binom(n - 2 * k - 1, 2 * k) for k in range((n + 1) // 2 + 1))
+    return even, odd
+
+
+def _parity_split_enumeration(n: int) -> tuple[int, int]:
+    """count_parity_split by the brute-force word filter."""
+    odd_flags = [len(parts) & 1 for parts in _brute_members(n, DISTINCT)]
+    odd = sum(odd_flags)
+    return len(odd_flags) - odd, odd
+
+
 def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> TheoremReport:
     """The even/odd-length excess over distinct-part partitions of fixed
     perimeter follows the period-6 pattern 0, -1, -1, 0, 1, 1; four
@@ -306,19 +333,20 @@ def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> Theorem
     series = expand(RationalGF(-q, one - q + q2), max_n)
     for n in range(1, max_n + 1):
         closed = excess_e(n)
-        even, odd = count_parity_split(n)  # recurrence and binomials agree internally
+        split = count_parity_split(n)
+        splits = {"binomial_sums": _parity_split_binomials(n)}
+        if n <= enum_limit:
+            splits["enumeration"] = _parity_split_enumeration(n)
         routes = {
-            "parity_split": even - odd,
+            "parity_split": split[0] - split[1],
             "series": series.coefficient({"q": n}),
         }
-        if n <= enum_limit:
-            count = 0
-            for parts in parts_by_perimeter(n):
-                if parts_are_member(parts, DISTINCT):
-                    count += 1 if len(parts) % 2 == 0 else -1
-            routes["enumeration"] = count
         if n >= 4:
             routes["negated_shift"] = -excess_e(n - 3)
+        for label, pair in splits.items():
+            if pair != split:
+                ce = {"n": n, "route": label, "got": list(pair), "parity_split": list(split)}
+                return _finish("pentagonal-analogue", params, ce, t0)
         for label, value in routes.items():
             if value != closed:
                 ce = {"n": n, "route": label, "got": value, "closed_form": closed}
@@ -364,10 +392,9 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     params = {"d": d, "max_n": max_n}
     dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
     for n in range(1, max_n + 1):
-        all_parts = parts_by_perimeter(n)
-        h = sum(1 for p in all_parts if parts_are_member(p, dd))
-        f = sum(1 for p in all_parts if parts_are_member(p, mo))
-        g_set = {p for p in all_parts if parts_are_member(p, gc)}
+        h = _brute_count(n, dd)
+        f = _brute_count(n, mo)
+        g_set = set(_brute_members(n, gc))
         rec = count_by_perimeter(n, dd)
         grammar_set = gclass_by_block_grammar(n, d)
         if not (h == f == len(g_set) == rec) or grammar_set != g_set:
@@ -398,10 +425,9 @@ def verify_gf_coefficients(c: ConstraintClass, qbound: int = 12) -> TheoremRepor
     V = ("x", "y", "q")
     acc: dict[tuple[int, int, int], int] = {}
     for n in range(1, qbound + 1):
-        for parts in parts_by_perimeter(n):
-            if parts_are_member(parts, c):
-                key = (parts[0], len(parts), n)
-                acc[key] = acc.get(key, 0) + 1
+        for parts in _brute_members(n, c):
+            key = (parts[0], len(parts), n)
+            acc[key] = acc.get(key, 0) + 1
     brute = MultiPoly(V, acc, qbound)
     if expanded != brute:
         diff = (expanded - brute).q_coefficients()
@@ -700,14 +726,6 @@ def verify_rogers_fine(qbound: int = 10) -> TheoremReport:
 # Congruences and Fibonacci facts
 
 
-def _h_distinct(n: int) -> int:
-    return fibonacci(n)
-
-
-def _h_parity(n: int) -> tuple[int, int]:
-    return count_parity_split(n)
-
-
 _CONGRUENCE_FAMILIES = (
     ("h_D(3n) == 0 mod 2", 3, 0, "total", 2, 0),
     ("h_D(4n) == 0 mod 3", 4, 0, "total", 3, 0),
@@ -723,8 +741,9 @@ _CONGRUENCE_MIN_N = max(offset or step for _, step, offset, *_ in _CONGRUENCE_FA
 
 def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
     """The seven stated congruences for distinct-part perimeter counts, for
-    every argument (multiplier form) up to max_n; the fast counts are
-    spot-checked against enumeration for small arguments."""
+    every argument (multiplier form) up to max_n; the parity splits are
+    checked against the binomial sums at every argument, and the fast
+    counts against enumeration for small arguments."""
     _require(_CONGRUENCE_MIN_N, max_n=max_n)
     _require(0, enum_limit=enum_limit)
     t0 = time.perf_counter()
@@ -733,21 +752,22 @@ def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
         arg = offset if offset else step
         while arg <= max_n:
             if which == "total":
-                value = _h_distinct(arg)
+                value = fibonacci(arg)
                 ok = value % modulus == residue
                 values = {"h_D": value}
+                routes = {"enumeration": _brute_count(arg, DISTINCT)} if arg <= enum_limit else {}
             else:
-                even, odd = _h_parity(arg)
+                value = count_parity_split(arg)
+                even, odd = value
                 ok = even == odd and even % modulus == residue
                 values = {"h_DE": even, "h_DO": odd}
-            if ok and arg <= enum_limit:
-                enum_count = sum(
-                    1 for parts in parts_by_perimeter(arg) if parts_are_member(parts, DISTINCT)
-                )
-                expected = values.get("h_D", sum(values.values()))
-                if enum_count != expected:
+                routes = {"binomial_sums": _parity_split_binomials(arg)}
+                if arg <= enum_limit:
+                    routes["enumeration"] = _parity_split_enumeration(arg)
+            for route, got in routes.items():
+                if got != value:
                     ok = False
-                    values["enumeration"] = enum_count
+                    values[route] = got
             if not ok:
                 ce = {"family": label, "argument": arg, "modulus": modulus, "residue": residue, **values}
                 return _finish("congruences", params, ce, t0)
@@ -789,7 +809,7 @@ def scan_congruence(
     t0 = time.perf_counter()
     params = {"step": step, "offset": offset, "modulus": modulus, "residue": residue, "max_n": max_n}
     while arg <= max_n:
-        value = _h_distinct(arg)
+        value = fibonacci(arg)
         if value % modulus != residue:
             ce = {"argument": arg, "h_D": value, "modulus": modulus, "residue": residue}
             return _finish("congruence-scan", params, ce, t0)

@@ -168,41 +168,45 @@ def g_class(d: int) -> ConstraintClass:
 def parts_are_member(parts: tuple[int, ...], c: ConstraintClass) -> bool:
     """Membership test on a raw parts tuple (assumed valid).
 
-    This is the hot path for bulk enumeration; :func:`is_member` is the
-    public wrapper over :class:`Partition`.
+    This is the hot path of the brute-force word filter; :func:`is_member`
+    is the public wrapper over :class:`Partition`.  ``distinct`` is the gap
+    test with d = 1 and ``odd`` the residue test with modulus 2.
     """
     kind = c.kind
     if kind == "any":
         return True
-    if kind == "distinct":
-        return all(parts[i] > parts[i + 1] for i in range(len(parts) - 1))
-    if kind == "odd":
-        return all(x & 1 for x in parts)
-    if kind == "ddistinct":
-        d = c.d
-        return all(parts[i] - parts[i + 1] >= d for i in range(len(parts) - 1))
-    if kind == "modone":
-        m = c.d + 1
-        return all(x % m == 1 for x in parts)
-    # gclass
+    if kind == "distinct" or kind == "ddistinct":
+        d = c.d or 1
+        prev = parts[0] + d
+        for x in parts:
+            if prev - x < d:
+                return False
+            prev = x
+        return True
+    if kind == "odd" or kind == "modone":
+        m = (c.d or 1) + 1
+        for x in parts:
+            if x % m != 1:
+                return False
+        return True
+    # gclass: each part must leave a residue 1 or d + 2 mod 2d + 1, and
+    # the gap to the next part (or to the virtual trailing 0) is at most
+    # 2d + 1, strictly less at residue 1; ``low`` is the smallest next part
     d = c.d
     mod = 2 * d + 1
     alt = (d + 2) % mod
+    low = 0
     for x in parts:
+        if x < low:
+            return False
         r = x % mod
-        if r != 1 and r != alt:
+        if r == 1:
+            low = x - mod + 1
+        elif r == alt:
+            low = x - mod
+        else:
             return False
-    # gap condition, including the virtual part 0 after the last part
-    prev = parts[0]
-    for nxt in list(parts[1:]) + [0]:
-        gap = prev - nxt
-        if prev % mod == 1:
-            if gap >= mod:
-                return False
-        elif gap > mod:
-            return False
-        prev = nxt
-    return True
+    return low <= 0
 
 
 @dataclass(frozen=True)

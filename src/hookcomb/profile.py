@@ -122,15 +122,18 @@ def parts_from_word_bits(length: int, bits: int) -> tuple[int, ...]:
     """Decode packed word bits to a parts tuple (no validity checks).
 
     Exposed for bulk enumeration, where constructing ProfileWord and
-    Partition wrappers per word would dominate the runtime.
+    Partition wrappers per word would dominate the runtime.  Only the N
+    letters are visited: the k-th N (from 0) at letter i closes a part of
+    width i - k, the number of E's before it.
     """
+    bits &= (1 << length) - 1
     parts = []
-    width = 0
-    for i in range(length):
-        if (bits >> i) & 1:
-            parts.append(width)
-        else:
-            width += 1
+    k = 0
+    while bits:
+        low = bits & -bits
+        parts.append(low.bit_length() - 1 - k)
+        bits ^= low
+        k += 1
     parts.reverse()
     return tuple(parts)
 

@@ -235,6 +235,14 @@ def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     assert "counterexample" in out
 
 
+def test_verify_rejects_bad_env_qbound(capsys, monkeypatch):
+    monkeypatch.setenv("HOOKCOMB_QBOUND_DEFAULT", "abc")
+    code, out, err = run(capsys, "verify", "rogers-fine")
+    assert code == 2
+    assert out == ""
+    assert "HOOKCOMB_QBOUND_DEFAULT" in err
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "fibonacci", "--format", "json")
     assert code == 0

@@ -24,7 +24,7 @@ from hookcomb import (
     mod_one,
     q_eo,
 )
-from hookcomb.counting import parts_by_perimeter
+from hookcomb.counting import _gap_count, parts_by_perimeter
 from hookcomb.identities import _all_classes
 from hookcomb.partitions import parts_are_member
 
@@ -130,6 +130,13 @@ def test_fibonacci_convention():
     assert fibonacci(12) == 144
     with pytest.raises(ValueError):
         fibonacci(-1)
+
+
+def test_fibonacci_against_gap_recurrence():
+    # _gap_count(1, n) runs the Fibonacci recurrence one step at a time;
+    # test_gap_count_at_large_perimeter compares the two at n = 10^5
+    for n in range(1, 2001):
+        assert fibonacci(n) == _gap_count(1, n)
 
 
 def test_fibonacci_addition_formula():

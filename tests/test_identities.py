@@ -8,6 +8,7 @@ from hookcomb import (
     NotDistinct,
     TheoremReport,
     count_by_perimeter,
+    count_parity_split,
     d_distinct,
     enumerate_by_size,
     franklin,
@@ -181,6 +182,22 @@ def test_reports_deterministic():
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert a == b
+
+
+@pytest.mark.parametrize("check", [verify_pentagonal_analogue, verify_congruences])
+def test_parity_split_routes_catch_a_wrong_split(check, monkeypatch):
+    # shift both halves by one: their difference, and so the excess, is
+    # unchanged, so only the binomial-sum route can disagree
+    from hookcomb import identities
+
+    def shifted(n):
+        even, odd = count_parity_split(n)
+        return even + 1, odd + 1
+
+    monkeypatch.setattr(identities, "count_parity_split", shifted)
+    report = check(enum_limit=0)
+    assert not report.passed
+    assert "binomial_sums" in json.dumps(report.counterexample)
 
 
 def test_scan_congruence_true_and_false():

@@ -11,6 +11,7 @@ from hookcomb import (
     UNRESTRICTED,
     conjugate,
     d_distinct,
+    enumerate_by_perimeter,
     enumerate_by_size,
     g_class,
     hook_lengths,
@@ -183,6 +184,44 @@ def gclass_definition_oracle(parts, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_gclass_against_definition_oracle(d):
     for p in all_partitions_upto(14):
+        assert is_member(p, g_class(d)) == gclass_definition_oracle(p.parts, d)
+
+
+# straight-from-definition rechecks for the other classes, written
+# independently of the library
+
+
+def distinct_definition_oracle(parts):
+    return len(set(parts)) == len(parts)
+
+
+def odd_definition_oracle(parts):
+    return all(x % 2 == 1 for x in parts)
+
+
+def ddistinct_definition_oracle(parts, d):
+    return all(a - b >= d for a, b in zip(parts, parts[1:]))
+
+
+def modone_definition_oracle(parts, d):
+    return all(x % (d + 1) == 1 for x in parts)
+
+
+def all_partitions_by_perimeter_upto(max_n):
+    return [p for n in range(1, max_n + 1) for p in enumerate_by_perimeter(n)]
+
+
+def test_distinct_and_odd_against_definition_oracles():
+    for p in all_partitions_by_perimeter_upto(14):
+        assert is_member(p, DISTINCT) == distinct_definition_oracle(p.parts)
+        assert is_member(p, ODD) == odd_definition_oracle(p.parts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_gap_classes_against_definition_oracles(d):
+    for p in all_partitions_by_perimeter_upto(14):
+        assert is_member(p, d_distinct(d)) == ddistinct_definition_oracle(p.parts, d)
+        assert is_member(p, mod_one(d)) == modone_definition_oracle(p.parts, d)
         assert is_member(p, g_class(d)) == gclass_definition_oracle(p.parts, d)
 
 

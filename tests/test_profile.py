@@ -23,6 +23,7 @@ from hookcomb import (
     make_partition,
     to_profile,
 )
+from hookcomb.profile import parts_from_word_bits
 
 FIG_WORD = "ENNNEEENEENNNEEENN"
 FIG_PARTS = (9, 9, 6, 6, 6, 4, 1, 1, 1)
@@ -166,3 +167,21 @@ def test_parser_agrees_with_membership(d):
 def test_decompose_requires_positive_d():
     with pytest.raises(ValueError):
         decompose_blocks("EN", 0)
+
+
+def reference_decode(text):
+    # letter by letter: each N closes a part as wide as the E's read so far
+    parts = []
+    width = 0
+    for ch in text:
+        if ch == "N":
+            parts.append(width)
+        else:
+            width += 1
+    return tuple(reversed(parts))
+
+
+def test_parts_from_word_bits_against_reference_decoder():
+    for length in range(2, 17):
+        for w in all_words(length):
+            assert parts_from_word_bits(w.length, w.bits) == reference_decode(w.text)
