@@ -30,6 +30,7 @@ from .profile import (
     BLOCK_I,
     BLOCK_II,
     BlockDecomposition,
+    BlockWordNotInClass,
     EmptyWord,
     InvalidLetter,
     MiddleBlock,
@@ -58,6 +59,7 @@ from .counting import (
     q_eo,
 )
 from .series import (
+    ExpansionCheckFailed,
     MultiPoly,
     NonUnitConstantTerm,
     NonUnitDenominator,

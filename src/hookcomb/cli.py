@@ -41,6 +41,10 @@ DEFAULT_QBOUND = 15
 _ENV_QBOUND = "HOOKCOMB_QBOUND_DEFAULT"
 
 
+class TableColumnsDisagree(ArithmeticError):
+    """The equinumerous columns of a worked table have different lengths."""
+
+
 def parse_class_spec(text: str) -> ConstraintClass:
     """Grammar: any | distinct | odd | ddistinct:<d> | modone:<d> | gclass:<d>."""
     plain = {"any": UNRESTRICTED, "distinct": DISTINCT, "odd": ODD}
@@ -257,7 +261,8 @@ def _table_rows(table_id: int) -> tuple[list[str], list[dict]]:
     rows = []
     for n, cols in groups:
         lengths = {len(c) for c in cols}
-        assert len(lengths) == 1, f"table {table_id} columns disagree at perimeter {n}"
+        if len(lengths) != 1:
+            raise TableColumnsDisagree(f"table {table_id} columns disagree at perimeter {n}")
         for tup in zip(*cols):
             rows.append({"perimeter": n, "columns": list(tup)})
     return header, rows

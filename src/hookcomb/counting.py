@@ -5,7 +5,8 @@ the class's transition table (:func:`hookcomb.partitions.transitions`), so
 the work follows the output, not the number of partitions.  The boundary
 words of length n + 1 (first letter E, last letter N, the n - 1 letters in
 between free) are exactly the partitions with perimeter n;
-:func:`parts_by_perimeter` sweeps all 2^(n-1) of them and is kept as the
+:func:`parts_by_perimeter` lists all 2^(n-1) of them, grown from the list
+for perimeter n - 1 by the letter before the terminal N, and is kept as the
 brute-force route the verification checks compare against.  Counting never
 overflows: everything is a Python int.
 """
@@ -25,7 +26,6 @@ from .partitions import (
     UNRESTRICTED,
     transitions,
 )
-from .profile import parts_from_word_bits
 
 
 class InvalidKeyForClass(ValueError):
@@ -76,28 +76,53 @@ def fibonacci(n: int) -> int:
 _CACHE_PERIMETER_LIMIT = 20
 
 
+def _grow(prev: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """The perimeter-``n`` table from ``prev``, the perimeter-(n - 1) table,
+    both reverse-lexicographic.
+
+    The letter before the terminal N of a word of perimeter n is E or N.
+    Deleting it is a bijection onto the words of perimeter n - 1: an E adds
+    1 to the largest part, an N repeats it.  So (k, k, ...) comes from the
+    group of ``prev`` with first part k (the N-branch) and (k, rest) with
+    rest below k from the group with first part k - 1 (the E-branch).
+    Emitting, for k from n down, the N-branch of group k and then the
+    E-branch of group k - 1 keeps reverse-lexicographic order.  In ``prev``
+    the group with first part k has binom(n - 2, k - 1) entries.
+    """
+    groups = [()] * (n + 1)  # groups[k]: the entries of prev with first part k
+    stop = 0
+    for k in range(n - 1, 0, -1):
+        start, stop = stop, stop + binom(n - 2, k - 1)
+        groups[k] = prev[start:stop]
+    out = []
+    for k in range(n, 0, -1):
+        out += [(k,) + p for p in groups[k]]
+        out += [(k,) + p[1:] for p in groups[k - 1]]
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _parts_by_perimeter_cached(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(_iter_parts_by_perimeter(n), reverse=True))
-
-
-def _iter_parts_by_perimeter(n: int):
-    for bits in range(1 << (n - 1)):
-        # middle letters of the word; shift left one for the leading E and
-        # set the terminal N
-        yield parts_from_word_bits(n + 1, (bits << 1) | (1 << n))
+    return ((1,),) if n == 1 else _grow(_parts_by_perimeter_cached(n - 1), n)
 
 
 def parts_by_perimeter(n: int) -> tuple[tuple[int, ...], ...]:
     """All parts tuples with perimeter ``n``, reverse-lexicographic.
 
-    Cached for small n so that the many verification sweeps share one pass.
+    Grown letter by letter from the table of perimeter n - 1 (see
+    :func:`_grow`).  Cached up to ``_CACHE_PERIMETER_LIMIT`` so that the
+    many verification sweeps share one pass; larger perimeters grow from
+    the last cached table without caching.
     """
     if n < 1:
         raise ValueError("perimeter must be at least 1")
-    if n <= _CACHE_PERIMETER_LIMIT:
+    limit = _CACHE_PERIMETER_LIMIT
+    if n <= limit:
         return _parts_by_perimeter_cached(n)
-    return tuple(sorted(_iter_parts_by_perimeter(n), reverse=True))
+    table = _parts_by_perimeter_cached(limit)
+    for m in range(limit + 1, n + 1):
+        table = _grow(table, m)
+    return table
 
 
 def _completions(step: PartTransitions, n: int) -> tuple[list, list[list[int]]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Iterator
 
 from .counting import (
@@ -36,9 +36,15 @@ from .partitions import (
     d_distinct,
     g_class,
     mod_one,
-    parts_are_member,
 )
-from .profile import BLOCK_I, BLOCK_II, BlockDecomposition, MiddleBlock, blocks_to_partition
+from .profile import (
+    BLOCK_I,
+    BLOCK_II,
+    MiddleBlock,
+    block_word_bits,
+    parts_from_word_bits,
+    word_bits_from_parts,
+)
 from .series import MultiPoly, RationalGF, expand, gf_of_class, pochhammer, poly_gens, series_inverse
 
 
@@ -100,16 +106,16 @@ def _finish(check_id: str, params: dict, counterexample: dict | None, t0: float)
 
 
 def _brute_members(n: int, c: ConstraintClass) -> Iterator[tuple[int, ...]]:
-    """Brute-force route: the parts tuples of perimeter ``n`` that
-    :func:`parts_are_member` accepts, out of all 2^(n-1) boundary words."""
+    """Brute-force route: the parts tuples of perimeter ``n`` that the
+    membership test of ``c`` accepts, out of all 2^(n-1) partitions."""
     all_parts = parts_by_perimeter(n)
-    return compress(all_parts, map(parts_are_member, all_parts, repeat(c)))
+    return compress(all_parts, map(c.member, all_parts))
 
 
 def _brute_count(n: int, c: ConstraintClass) -> int:
-    """How many of the 2^(n-1) boundary words of perimeter ``n`` decode to
-    a member of ``c``."""
-    return sum(map(parts_are_member, parts_by_perimeter(n), repeat(c)))
+    """How many of the 2^(n-1) partitions of perimeter ``n`` the membership
+    test of ``c`` accepts."""
+    return sum(map(c.member, parts_by_perimeter(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +246,42 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
     return _finish("euler-analogue", params, None, t0)
 
 
+def _codec_mismatch(table: tuple[tuple[int, ...], ...], n: int) -> dict | None:
+    """Codec route for the perimeter-``n`` table: each entry must encode to
+    a boundary word of length n + 1 (first letter E) that decodes back to
+    it, and no two entries may share a word.  With 2^(n-1) entries that
+    makes the table exactly the partitions of perimeter n.  Returns the
+    first offending entry, or None.
+
+    The round trip rules out tuples that are not partitions: (5, 2, 5)
+    encodes to the word of (5, 4, 3).  One flag per word, so the check
+    holds no second copy of the table."""
+    seen = bytearray(1 << (n - 1))
+    top = 1 << (n - 1)  # the terminal N, once the leading E is shifted out
+    for parts in table:
+        length, bits = word_bits_from_parts(parts)
+        if length != n + 1 or bits & 1 or parts_from_word_bits(length, bits) != parts:
+            return {"n": n, "partition": list(parts), "reason": "not a partition of this perimeter"}
+        index = (bits >> 1) ^ top  # the n - 1 free letters
+        if seen[index]:
+            return {"n": n, "partition": list(parts), "reason": "boundary word repeated"}
+        seen[index] = 1
+    return None
+
+
 def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
-    """There are 2^(n-1) partitions with perimeter n, by exhaustive
-    boundary-word enumeration."""
+    """There are 2^(n-1) partitions with perimeter n: the brute-force table
+    has that many entries, each a distinct boundary word by the codec
+    route, and the closed form agrees."""
     _require(1, max_n=max_n)
     t0 = time.perf_counter()
     params = {"max_n": max_n}
     for n in range(1, max_n + 1):
-        got = len(parts_by_perimeter(n))
+        table = parts_by_perimeter(n)
+        ce = _codec_mismatch(table, n)
+        if ce is not None:
+            return _finish("powers-of-two", params, ce, t0)
+        got = len(table)
         closed = count_by_perimeter(n, UNRESTRICTED)
         if got != 1 << (n - 1) or closed != 1 << (n - 1):
             ce = {"n": n, "enumerated": got, "closed_form": closed, "expected": 1 << (n - 1)}
@@ -375,8 +409,7 @@ def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
     budget = n - 1  # word length n + 1, minus the initial E and terminal N
     for j0 in range(budget + 1):
         for middles in _block_sequences(budget - j0, d, BLOCK_I):
-            p = blocks_to_partition(BlockDecomposition(j0, middles), d)
-            out.add(p.parts)
+            out.add(parts_from_word_bits(*block_word_bits(j0, middles, d)))
     return out
 
 

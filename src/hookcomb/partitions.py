@@ -18,6 +18,7 @@ module is safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 
@@ -147,6 +148,16 @@ class ConstraintClass:
     def __str__(self) -> str:
         return self.kind if self.d is None else f"{self.kind}:{self.d}"
 
+    @cached_property
+    def member(self) -> Callable[[tuple[int, ...]], bool]:
+        """Membership test on a raw parts tuple, resolved from ``kind`` on
+        first use so that per-word calls skip the dispatch."""
+        return _member_test(self)
+
+    def __getstate__(self) -> dict:
+        # the bound ``member`` test is a closure: pickle the fields only
+        return {"kind": self.kind, "d": self.d}
+
 
 UNRESTRICTED = ConstraintClass("any")
 DISTINCT = ConstraintClass("distinct")
@@ -169,44 +180,62 @@ def parts_are_member(parts: tuple[int, ...], c: ConstraintClass) -> bool:
     """Membership test on a raw parts tuple (assumed valid).
 
     This is the hot path of the brute-force word filter; :func:`is_member`
-    is the public wrapper over :class:`Partition`.  ``distinct`` is the gap
-    test with d = 1 and ``odd`` the residue test with modulus 2.
+    is the public wrapper over :class:`Partition`.  The test itself is
+    ``c.member``, chosen by kind once per class.
     """
+    return c.member(parts)
+
+
+def _member_test(c: ConstraintClass) -> Callable[[tuple[int, ...]], bool]:
+    """The membership test of class ``c`` on a raw parts tuple, with the
+    class's constants bound.  ``distinct`` is the gap test with d = 1 and
+    ``odd`` the residue test with modulus 2."""
     kind = c.kind
     if kind == "any":
-        return True
+        return _always
     if kind == "distinct" or kind == "ddistinct":
         d = c.d or 1
-        prev = parts[0] + d
-        for x in parts:
-            if prev - x < d:
-                return False
-            prev = x
-        return True
+
+        def gaps_at_least_d(parts: tuple[int, ...]) -> bool:
+            prev = parts[0] + d
+            for x in parts:
+                if prev - x < d:
+                    return False
+                prev = x
+            return True
+
+        return gaps_at_least_d
     if kind == "odd" or kind == "modone":
         m = (c.d or 1) + 1
-        for x in parts:
-            if x % m != 1:
-                return False
-        return True
+
+        def residues_one(parts: tuple[int, ...]) -> bool:
+            for x in parts:
+                if x % m != 1:
+                    return False
+            return True
+
+        return residues_one
     # gclass: each part must leave a residue 1 or d + 2 mod 2d + 1, and
     # the gap to the next part (or to the virtual trailing 0) is at most
     # 2d + 1, strictly less at residue 1; ``low`` is the smallest next part
-    d = c.d
-    mod = 2 * d + 1
-    alt = (d + 2) % mod
-    low = 0
-    for x in parts:
-        if x < low:
-            return False
-        r = x % mod
-        if r == 1:
-            low = x - mod + 1
-        elif r == alt:
-            low = x - mod
-        else:
-            return False
-    return low <= 0
+    mod = 2 * c.d + 1
+    alt = (c.d + 2) % mod
+
+    def residues_and_gaps(parts: tuple[int, ...]) -> bool:
+        low = 0
+        for x in parts:
+            if x < low:
+                return False
+            r = x % mod
+            if r == 1:
+                low = x - mod + 1
+            elif r == alt:
+                low = x - mod
+            else:
+                return False
+        return low <= 0
+
+    return residues_and_gaps
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ plain E/N text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .partitions import Partition, parts_are_member, g_class
 
@@ -39,6 +40,11 @@ class InvalidLetter(ProfileWordError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
+
+
+class BlockWordNotInClass(ArithmeticError):
+    """A block decomposition spelled a partition outside its gap class,
+    contradicting the block-grammar theorem."""
 
 
 class NotInClass(ValueError):
@@ -106,16 +112,20 @@ def to_profile(p: Partition) -> ProfileWord:
     The word is E^{p_r} N E^{p_{r-1}-p_r} N ... E^{p_1-p_2} N: walking up
     from the bottom row, each N closes one part at the current width.
     """
-    parts = p.parts
+    return ProfileWord(*word_bits_from_parts(p.parts))
+
+
+def word_bits_from_parts(parts: tuple[int, ...]) -> tuple[int, int]:
+    """Encode a parts tuple as (word length, packed word bits), no validity
+    checks; the inverse of :func:`parts_from_word_bits` on partitions."""
     bits = 0
-    pos = parts[-1]  # E run for the bottom row, then the first N
-    bits |= 1 << pos
-    pos += 1
-    for i in range(len(parts) - 2, -1, -1):
-        pos += parts[i] - parts[i + 1]
+    pos = -1
+    prev = 0
+    for x in reversed(parts):
+        pos += x - prev + 1  # the E's that widen the row to x, then its N
         bits |= 1 << pos
-        pos += 1
-    return ProfileWord(pos, bits)
+        prev = x
+    return pos + 1, bits
 
 
 def parts_from_word_bits(length: int, bits: int) -> tuple[int, ...]:
@@ -238,21 +248,35 @@ def decompose_blocks(w: ProfileWord | str, d: int) -> BlockDecomposition:
     return BlockDecomposition(initial_ns, tuple(middles))
 
 
+def block_word_bits(initial_ns: int, middles: Iterable[MiddleBlock], d: int) -> tuple[int, int]:
+    """(word length, packed word bits) spelled by an initial block with
+    ``initial_ns`` N's, the ``middles`` and the terminal N, for parameter
+    ``d`` (assumed valid)."""
+    pos = 1 + initial_ns  # the initial E, then its N's
+    bits = ((1 << initial_ns) - 1) << 1
+    for blk in middles:
+        if blk.kind == BLOCK_II:
+            bits |= 1 << pos
+        pos += d + 1  # E^{d+1} for kind I, N E^d for kind II
+        bits |= ((1 << blk.trailing_ns) - 1) << pos
+        pos += blk.trailing_ns
+    return pos + 1, bits | (1 << pos)
+
+
 def blocks_to_word(b: BlockDecomposition, d: int) -> ProfileWord:
     """Spell the word of ``b`` for parameter ``d``."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    pieces = ["E", "N" * b.initial_ns]
-    for blk in b.middles:
-        head = "E" * (d + 1) if blk.kind == BLOCK_I else "N" + "E" * d
-        pieces.append(head + "N" * blk.trailing_ns)
-    pieces.append("N")
-    return ProfileWord.from_text("".join(pieces))
+    return ProfileWord(*block_word_bits(b.initial_ns, b.middles, d))
 
 
 def blocks_to_partition(b: BlockDecomposition, d: int) -> Partition:
     """Partition encoded by the block sequence ``b``; always lands in the
-    gclass(``d``) family and round-trips through :func:`decompose_blocks`."""
+    gclass(``d``) family and round-trips through :func:`decompose_blocks`.
+
+    Raises :class:`BlockWordNotInClass` if the partition fails the gclass
+    membership test, which the block-grammar theorem rules out."""
     p = from_profile(blocks_to_word(b, d))
-    assert parts_are_member(p.parts, g_class(d))
+    if not parts_are_member(p.parts, g_class(d)):
+        raise BlockWordNotInClass(f"blocks {b!r} spell {p!r}, outside gclass:{d}")
     return p

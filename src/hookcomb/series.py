@@ -31,6 +31,10 @@ class NonUnitDenominator(ValueError):
     pass
 
 
+class ExpansionCheckFailed(ArithmeticError):
+    """An expansion times its denominator did not give back the numerator."""
+
+
 def _min_bound(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
@@ -385,14 +389,16 @@ def expand(gf: RationalGF, qbound: int) -> MultiPoly:
     """Power-series expansion of ``gf`` truncated at q-degree ``qbound``.
 
     The result is checked by multiplying back: expansion * denominator must
-    reproduce the numerator up to the bound.
+    reproduce the numerator up to the bound, or :class:`ExpansionCheckFailed`
+    is raised.
     """
     if qbound < 0:
         raise ValueError("qbound must be non-negative")
     num = gf.numerator.with_qbound(qbound)
     den = gf.denominator.with_qbound(qbound)
     result = num * series_inverse(den, qbound)
-    assert result * den == num, "expansion failed the multiply-back check"
+    if result * den != num:
+        raise ExpansionCheckFailed("expansion failed the multiply-back check")
     return result
 
 

@@ -287,6 +287,19 @@ def test_table_4_grouped(capsys):
     assert lines[-1] == "5,3,1 | 7 | 6,4"
 
 
+def test_table_columns_that_disagree_raise(monkeypatch):
+    from hookcomb import cli
+
+    real = cli.enumerate_by_perimeter
+
+    def without_6321(n, c):
+        return [p for p in real(n, c) if p.parts != (6, 3, 2, 1)]
+
+    monkeypatch.setattr(cli, "enumerate_by_perimeter", without_6321)
+    with pytest.raises(cli.TableColumnsDisagree):
+        cli._table_rows(1)
+
+
 def test_table_bad_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "9"])

@@ -27,6 +27,7 @@ from hookcomb import (
 from hookcomb.counting import _gap_count, parts_by_perimeter
 from hookcomb.identities import _all_classes
 from hookcomb.partitions import parts_are_member
+from hookcomb.profile import parts_from_word_bits
 
 ALL_CLASSES = [UNRESTRICTED, DISTINCT, ODD] + [
     f(d) for d in (1, 2, 3, 4, 5) for f in (d_distinct, mod_one, g_class)
@@ -95,6 +96,28 @@ def test_count_equals_stream_length(c):
 def test_enumeration_matches_brute_force_filter(c):
     for n in range(1, 15):
         assert [p.parts for p in enumerate_by_perimeter(n, c)] == brute_force_members(n, c), n
+
+
+def decoded_table(n):
+    """Independent route: decode every boundary word of perimeter n, then
+    sort reverse-lexicographically."""
+    words = [parts_from_word_bits(n + 1, (bits << 1) | (1 << n)) for bits in range(1 << (n - 1))]
+    return tuple(sorted(words, reverse=True))
+
+
+def test_grown_table_matches_decoded_words():
+    for n in range(1, 17):
+        assert parts_by_perimeter(n) == decoded_table(n), n
+
+
+def test_table_beyond_cache_limit_matches_decoded_words(monkeypatch):
+    from hookcomb import counting
+
+    monkeypatch.setattr(counting, "_CACHE_PERIMETER_LIMIT", 10)
+    for n in (12, 13, 14):
+        table = counting.parts_by_perimeter(n)
+        assert table is not counting._parts_by_perimeter_cached(n)  # grown, not cached
+        assert table == decoded_table(n), n
 
 
 # ---------------------------------------------------------------------------

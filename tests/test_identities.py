@@ -3,15 +3,20 @@ import json
 import pytest
 
 from hookcomb import (
+    BLOCK_I,
     CHECKS,
+    BlockDecomposition,
     InvalidD,
     NotDistinct,
     TheoremReport,
+    blocks_to_partition,
+    blocks_to_word,
     count_by_perimeter,
     count_parity_split,
     d_distinct,
     enumerate_by_size,
     franklin,
+    from_profile,
     make_partition,
     run_checks,
     scan_congruence,
@@ -120,6 +125,55 @@ def test_block_grammar_generation_matches_filter():
             generated = gclass_by_block_grammar(n, d)
             filtered = {p for p in parts_by_perimeter(n) if parts_are_member(p, g_class(d))}
             assert generated == filtered
+
+
+def text_route_partition(b, d):
+    """The block spelling as E/N text, decoded through the word wrappers."""
+    pieces = ["E", "N" * b.initial_ns]
+    for blk in b.middles:
+        head = "E" * (d + 1) if blk.kind == BLOCK_I else "N" + "E" * d
+        pieces.append(head + "N" * blk.trailing_ns)
+    text = "".join(pieces) + "N"
+    return text, from_profile(text).parts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_block_grammar_matches_text_route(d):
+    from hookcomb.identities import _block_sequences
+
+    for n in range(1, 15):
+        expected = set()
+        for j0 in range(n):
+            for middles in _block_sequences(n - 1 - j0, d, BLOCK_I):
+                b = BlockDecomposition(j0, middles)
+                text, parts = text_route_partition(b, d)
+                assert blocks_to_word(b, d).text == text
+                assert blocks_to_partition(b, d).parts == parts
+                expected.add(parts)
+        assert gclass_by_block_grammar(n, d) == expected, (n, d)
+
+
+@pytest.mark.parametrize("damage", ["duplicate", "missing", "not a partition"])
+def test_powers_of_two_catches_a_damaged_table(damage, monkeypatch):
+    from hookcomb import identities
+    from hookcomb.counting import parts_by_perimeter
+
+    def damaged(n):
+        table = list(parts_by_perimeter(n))
+        if n == 7:
+            i = table.index((5, 4, 3))
+            if damage == "duplicate":
+                table[i] = table[i + 1]
+            elif damage == "missing":
+                del table[i]
+            else:
+                table[i] = (5, 2, 5)  # encodes to the word of (5, 4, 3)
+        return tuple(table)
+
+    monkeypatch.setattr(identities, "parts_by_perimeter", damaged)
+    report = verify_powers_of_two(max_n=9)
+    assert not report.passed
+    assert report.counterexample["n"] == 7
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,18 @@ def test_gap_classes_against_definition_oracles(d):
         assert is_member(p, g_class(d)) == gclass_definition_oracle(p.parts, d)
 
 
+def test_member_test_is_bound_lazily_and_pickles():
+    import pickle
+
+    c = ConstraintClass("gclass", 3)
+    assert "member" not in vars(c)  # building a class binds nothing
+    assert is_member(make_partition([8, 5]), c)
+    assert "member" in vars(c)
+    clone = pickle.loads(pickle.dumps(c))
+    assert clone == c and hash(clone) == hash(c)
+    assert clone.member((8, 5)) and not clone.member((8, 1))
+
+
 def test_constraint_class_validation():
     with pytest.raises(ValueError):
         ConstraintClass("ddistinct")  # missing d

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from hookcomb import (
     DISTINCT,
+    ExpansionCheckFailed,
     MultiPoly,
     NonUnitConstantTerm,
     NonUnitDenominator,
@@ -129,6 +130,19 @@ def test_expand_rejects_non_unit_denominator():
         RationalGF(one, q)  # constant term 0
     with pytest.raises(NonUnitDenominator):
         RationalGF(one, one + one)  # constant term 2
+
+
+def test_expand_raises_when_multiply_back_fails(monkeypatch):
+    from hookcomb import series
+
+    real = series.series_inverse
+
+    def off_by_q(den, qbound):
+        return real(den, qbound) + MultiPoly.monomial(den.variables, 1, {"q": 1}, qbound)
+
+    monkeypatch.setattr(series, "series_inverse", off_by_q)
+    with pytest.raises(ExpansionCheckFailed):
+        expand(gf_of_class(DISTINCT), 6)
 
 
 def test_unrestricted_counts_from_series():
