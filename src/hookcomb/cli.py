@@ -39,6 +39,7 @@ from .identities import CHECKS, run_checks
 
 DEFAULT_QBOUND = 15
 _ENV_QBOUND = "HOOKCOMB_QBOUND_DEFAULT"
+ENUMERATE_OUTPUT_LIMIT = 1 << 20  # all partitions of perimeter 21; enumerate refuses more
 
 
 class TableColumnsDisagree(ArithmeticError):
@@ -136,6 +137,8 @@ def _unlimited_int_digits():
 
 
 def _cmd_enumerate(args) -> int:
+    if (total := count_by_perimeter(args.perimeter, args.class_spec)) > ENUMERATE_OUTPUT_LIMIT:
+        raise ValueError(f"{total} partitions to list, more than {ENUMERATE_OUTPUT_LIMIT}; use count")
     parts_list = list(enumerate_by_perimeter(args.perimeter, args.class_spec))
     if args.parts is not None:
         parts_list = [p for p in parts_list if p.length == args.parts]

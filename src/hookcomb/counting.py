@@ -1,31 +1,22 @@
 """Enumeration streams and exact counts for partitions graded by perimeter.
 
-Class members of perimeter n are generated and counted part by part from
-the class's transition table (:func:`hookcomb.partitions.transitions`), so
-the work follows the output, not the number of partitions.  The boundary
-words of length n + 1 (first letter E, last letter N, the n - 1 letters in
-between free) are exactly the partitions with perimeter n;
-:func:`parts_by_perimeter` lists all 2^(n-1) of them, grown from the list
-for perimeter n - 1 by the letter before the terminal N, and is kept as the
-brute-force route the verification checks compare against.  Counting never
-overflows: everything is a Python int.
+The engine knows a class only through its word automaton with s states
+(:class:`hookcomb.partitions.WordAutomaton`): counts take O(log n) products
+of polynomials of degree at most s, refined counts one walk of n - 1 steps,
+and enumeration a backward walk whose work follows the output.
+:func:`parts_by_perimeter` lists all 2^(n-1) partitions of perimeter n; it,
+:func:`fibonacci` and :func:`excess_e` are routes the checks compare against.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import accumulate, compress, islice, zip_longest
 from typing import Iterator
 
-from .partitions import (
-    ConstraintClass,
-    Partition,
-    PartTransitions,
-    UNRESTRICTED,
-    transitions,
-)
+from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton
 
 
 class InvalidKeyForClass(ValueError):
@@ -125,147 +116,159 @@ def parts_by_perimeter(n: int) -> tuple[tuple[int, ...], ...]:
     return table
 
 
-def _completions(step: PartTransitions, n: int) -> tuple[list, list[list[int]]]:
-    """The class's transition table up to perimeter ``n``, and its
-    completion counts.
+@lru_cache(maxsize=None)
+def _union(mask: int, table: tuple[int, ...]) -> int:
+    """The union of ``table[s]`` over the states s in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
-    ``nexts[x]`` lists the parts allowed after part ``x``, largest first;
-    ``table[r][x]`` counts the ways to follow part ``x`` with exactly ``r``
-    more parts of the class, for ``r + x <= n`` (index 0 unused).  Row r
-    sums row r - 1 over ``nexts``, one pass over the O(n^2) entries.
-    """
-    nexts = [()] + [step.follows(x) for x in range(1, n + 1)]
-    table = [[0] + [int(step.last(x)) for x in range(1, n + 1)]]
-    for r in range(1, n):
-        below = table[-1]
-        table.append([0] + [sum(below[y] for y in nexts[x]) for x in range(1, n - r + 1)])
-    return nexts, table
+
+def _reach(aut: WordAutomaton, n: int) -> tuple[tuple[int, ...], ...]:
+    """``[r][x]``, r + x <= n: the states after r N's and x - 1 E's in any
+    order; kept with the automaton, grown into a new table, never in place."""
+    if len(rows := aut.reach) < n:
+        rows = [list(row) for row in rows]
+        for m in range(len(rows) + 1, n + 1):  # the entries with r + x = m
+            rows.append([0])
+            for r, x in zip(range(m), range(m, 0, -1)):
+                mask = _union(rows[r][x - 1], aut.after_e) if x > 1 else int(r == 0) << aut.start
+                rows[r].append(mask | (_union(rows[r - 1][x], aut.after_n) if r else 0))
+        aut.reach = rows = tuple(map(tuple, rows))
+    return rows
 
 
 def enumerate_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> Iterator[Partition]:
     """Each partition with perimeter ``n`` in class ``c``, exactly once, in
-    reverse-lexicographic part order.
-
-    A depth-first walk of the class's transition table: first parts from n
-    down (a first part a fixes the length n + 1 - a), next parts largest
-    first, and only into parts that can still be completed, so the work is
-    proportional to the output rather than to the 2^(n-1) boundary words.
+    reverse-lexicographic part order: a depth-first walk backward through the
+    class's automaton, one part at a time, into parts the reach table allows.
     """
     if n < 1:
         raise ValueError("perimeter must be at least 1")
-    step = transitions(c)
-    nexts, table = _completions(step, n)
-    # viable[r][x]: the next parts after x from which r - 1 more parts can follow
-    viable = [None] + [
-        [()] + [tuple(y for y in nexts[x] if below[y]) for x in range(1, n - r + 1)]
-        for r, below in enumerate(table[:-1], start=1)
-    ]
-    for a in range(n, 0, -1):
+    aut, reach = c.automaton, _reach(c.automaton, n)
+
+    @cache
+    def chain(mask: int) -> list[int]:  # [k]: the states from which N E^k leads into ``mask``
+        before_e = accumulate(range(n), lambda m, _: _union(m, aut.before_e), initial=mask)
+        return [_union(m, aut.before_n) for m in before_e]
+
+    # the node of part x, with ``mask`` the states before its N and ``left``
+    # parts to come, is one cell: [its next parts once known, mask, x, left]
+    node = cache(lambda mask, x, left: [None, mask, x, left])
+
+    def nexts(cell: list) -> tuple:  # the next parts, largest first, each with its node
+        _, mask, x, left = cell
+        ch, row = chain(mask), reach[left - 1]
+        cell[0] = tuple((x - k, node(ch[k], x - k, left - 1)) for k in range(x) if ch[k] & row[x - k])
+        return cell[0]
+
+    last = _union((1 << len(aut.on_n)) - 1, aut.before_n)  # where the terminal N can be read
+    if reach[0][n] & last:
+        yield Partition((n,))
+    for a in range(n - 1, 0, -1):
         left = n - a  # parts still to place after the first
-        if not (step.first(a) and table[left][a]):
-            continue
-        if left == 0:
-            yield Partition((a,))
-            continue
-        parts = [a]
-        pending = [iter(viable[left][a])]
+        parts, pending = [a], [iter(nexts(node(last, a, left)))]
         while pending:
-            depth = len(pending)
-            if depth == left:
+            if len(pending) == left:
                 prefix = tuple(parts)
-                for y in pending.pop():
+                for y, _ in pending.pop():
                     yield Partition(prefix + (y,))
                 parts.pop()
                 continue
-            for y in pending[-1]:
+            for y, cell in pending[-1]:
                 parts.append(y)
-                pending.append(iter(viable[left - depth][y]))
+                pending.append(iter(cell[0] or nexts(cell)))
                 break
             else:
                 pending.pop()
                 parts.pop()
 
 
-def _gap_count(d: int, n: int) -> int:
-    # c(n) = c(n-1) + c(n-d-1) with c(1) = ... = c(d+1) = 1: the expansion of
-    # q / (1 - q - q^{d+1}).  Only the last d + 1 values are kept.
-    window = deque([1] * (d + 1), maxlen=d + 1)
-    for _ in range(d + 2, n + 1):
-        window.append(window[-1] + window[0])
-    return window[-1]
+def _walk(aut: WordAutomaton, e_shift: int, n_weight: int) -> Iterator[int]:
+    """The total weight of the class's words of perimeter 1, 2, 3, ...: a word
+    weighs 2^``e_shift`` per E and ``n_weight`` per N, leading E excluded."""
+    vec, ends = [int(s == aut.start) for s in range(len(aut.on_e))], [t >= 0 for t in aut.on_n]
+    while True:
+        yield n_weight * sum(compress(vec, ends))
+        step = [0] * (len(vec) + 1)  # the last entry collects the refused letters
+        for v, e, f in zip(vec, aut.on_e, aut.on_n):
+            step[e] += v << e_shift
+            step[f] += v * n_weight
+        vec = step[:-1]
+
+
+@lru_cache(maxsize=None)
+def _rational(c: ConstraintClass, n_weight: int) -> tuple[list[int], list[int]]:
+    """The walk of class ``c`` as P/Q = sum t(n) z^(n-1), Q(0) = 1 and Q
+    minimal, by fraction-free Berlekamp-Massey (Massey, 1969) on 2s terms, as
+    Q divides det(I - zA) for s states; P and Q are integral (Fatou)."""
+    seq = list(islice(_walk(c.automaton, 0, n_weight), 2 * len(c.automaton.on_e)))
+    q, prev, length, shift, scale = [1], [1], 0, 1, 1
+    for i in range(len(seq)):
+        delta = sum(x * seq[i - j] for j, x in enumerate(q[: i + 1]))
+        if delta:
+            old, q = q, [scale * a - delta * b for a, b in zip_longest(q, [0] * shift + prev, fillvalue=0)]
+            if 2 * length <= i:
+                length, prev, scale, shift = i + 1 - length, old, delta, 0
+        shift += 1
+    p = [sum(x * seq[i - j] for j, x in enumerate(q[: i + 1])) for i in range(length)]
+    return [x // q[0] for x in p], [x // q[0] for x in q[: length + 1]]
+
+
+def _half_product(a: list[int], q: list[int], parity: int) -> list[int]:
+    """The coefficients of a(z) q(-z) at z^(2i + parity), i = 0, 1, ..."""
+    out = [0] * ((len(a) + len(q) - parity) // 2)
+    for i, x in enumerate(a):
+        for j in range((i ^ parity) & 1, len(q), 2):
+            out[(i + j) >> 1] += -x * q[j] if j & 1 else x * q[j]
+    return out
+
+
+def _term(c: ConstraintClass, n: int, n_weight: int = 1) -> int:
+    """t(n) = [z^(n-1)] P/Q by Bostan-Mori (SOSA 2021): P(z) Q(-z) over the
+    even Q(z) Q(-z) keeps the numerator half of the index's parity."""
+    if n < 1:
+        raise ValueError("perimeter must be at least 1")
+    p, q = _rational(c, n_weight)
+    k = n - 1
+    while k:
+        p, q = _half_product(p, q, k & 1), _half_product(q, q, 0)
+        k >>= 1
+    return p[0] if p else 0
 
 
 def count_by_perimeter(n: int, c: ConstraintClass) -> int:
-    """Exact count of partitions with perimeter ``n`` in class ``c``.
-
-    Closed forms: 2^(n-1) for the unrestricted class, the Fibonacci number
-    F(n) for distinct or odd parts, and the gap recurrence
-    c(n) = c(n-1) + c(n-d-1) for the parameterized classes.
-    """
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
-    kind = c.kind
-    if kind == "any":
-        return 1 << (n - 1)
-    if kind in ("distinct", "odd"):
-        return fibonacci(n)
-    return _gap_count(c.d, n)
+    """Exact count of partitions with perimeter ``n`` in class ``c``."""
+    return _term(c, n)
 
 
 def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
     """Count the class-``c`` partitions with perimeter ``n`` and the given
-    refined statistic.
+    refined statistic; out-of-range key values count 0 rather than raising.
 
-    Closed forms used where available (and cross-checked by the test
-    suite); other combinations are read off the class's completion table,
-    a count over (previous part, parts left).  Out-of-range key values count
-    0 rather than raising.
+    Each key picks one largest part a, the word's number of E's: one walk
+    with each E weighing 2^n holds its count in base-2^n digit a - 1.
     """
     if n < 1:
         raise ValueError("perimeter must be at least 1")
     if not isinstance(key, (LargestPart, NumParts, Rank)):
         raise InvalidKeyForClass(f"unsupported refinement key {key!r}")
     v = key.value
-    if c.kind == "distinct":
-        if isinstance(key, NumParts):
-            return binom(n - v, v - 1)
-        if isinstance(key, LargestPart):
-            return binom(v - 1, n - v)
-        if (n - 1 - v) % 2 != 0 or v < 0:
-            return 0
-        return binom((n + v - 1) // 2, v)
-    if c.kind == "any" and isinstance(key, LargestPart):
-        # the word has v E's, one fixed at the front: choose the rest among
-        # the n - 1 free letters
-        return binom(n - 1, v - 1)
-    # Given the perimeter, the largest part a fixes the length n + 1 - a and
-    # the rank 2a - n - 1, so every key picks one largest part.
-    if isinstance(key, LargestPart):
-        a = v
-    elif isinstance(key, NumParts):
-        a = n + 1 - v
-    elif (v + n + 1) % 2 == 0:
-        a = (v + n + 1) // 2
-    else:
+    a = v if isinstance(key, LargestPart) else n + 1 - v if isinstance(key, NumParts) else (v + n + 1) // 2
+    if not 1 <= a <= n or isinstance(key, Rank) and (v + n + 1) % 2:
         return 0
-    step = transitions(c)
-    if not (1 <= a <= n and step.first(a)):
-        return 0
-    _, table = _completions(step, n)
-    return table[n - a][a]
+    total = next(islice(_walk(c.automaton, n, 1), n - 1, None))
+    return (total >> (n * (a - 1))) & ((1 << n) - 1)
 
 
 def count_parity_split(n: int) -> tuple[int, int]:
-    """Distinct-part partitions with perimeter ``n``, split by the parity of
-    the number of parts: (even count, odd count), by the coupled recurrence
-    even(n) = even(n-1) + odd(n-2), odd(n) = odd(n-1) + even(n-2)."""
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
-    even, odd = [0, 0, 0], [0, 1, 1]
-    for i in range(3, n + 1):
-        even.append(even[i - 1] + odd[i - 2])
-        odd.append(odd[i - 1] + even[i - 2])
-    return even[n], odd[n]
+    """Distinct-part partitions with perimeter ``n`` as (even, odd) numbers of
+    parts, from the automaton walk and, with each N weighing -1, even - odd."""
+    total, excess = _term(DISTINCT, n), _term(DISTINCT, n, -1)
+    return (total + excess) // 2, (total - excess) // 2
 
 
 _EXCESS_BY_RESIDUE = (0, -1, -1, 0, 1, 1)

@@ -136,6 +136,11 @@ def franklin(p: Partition) -> Partition | None:
     parts = p.parts
     if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
         raise NotDistinct(f"{p!r} does not have distinct parts")
+    return Partition(image) if (image := _franklin_parts(parts)) else None
+
+
+def _franklin_parts(parts: tuple[int, ...]) -> tuple[int, ...] | None:
+    """:func:`franklin` on a raw, strictly decreasing parts tuple."""
     s = parts[-1]
     r = 1
     while r < len(parts) and parts[r] == parts[r - 1] - 1:
@@ -151,7 +156,7 @@ def franklin(p: Partition) -> Partition | None:
         for i in range(r):
             new[i] -= 1
         new.append(r)
-    return Partition(tuple(new))
+    return tuple(new)
 
 
 def _generalized_pentagonals(limit: int) -> list[tuple[int, int, int]]:
@@ -178,39 +183,40 @@ def verify_franklin(max_size: int = 40) -> TheoremReport:
     _require(1, max_size=max_size)
     t0 = time.perf_counter()
     params = {"max_size": max_size}
-    fixed: list[Partition] = []
+    fixed: list[tuple[int, ...]] = []
     for n in range(1, max_size + 1):
         for parts in partitions_of_size(n, distinct=True):
-            p = Partition(parts)
-            image = franklin(p)
+            image = _franklin_parts(parts)
             if image is None:
-                fixed.append(p)
+                fixed.append(parts)
                 continue
             bad = None
-            if image.size != p.size:
-                bad = {"reason": "size changed", "got": image.size}
-            elif image.perimeter != p.perimeter:
-                bad = {"reason": "perimeter changed", "got": image.perimeter}
-            elif (image.length - p.length) % 2 != 1:
-                bad = {"reason": "length parity not flipped", "got": image.length}
-            elif franklin(image) != p:
-                bad = {"reason": "not an involution", "got": list((franklin(image) or image).parts)}
+            if not (image and image[-1] >= 1 and all(a > b for a, b in zip(image, image[1:]))):
+                bad = {"reason": "image is not a distinct-part partition"}
+            elif sum(image) != n:
+                bad = {"reason": "size changed", "got": sum(image)}
+            elif image[0] + len(image) != parts[0] + len(parts):
+                bad = {"reason": "perimeter changed", "got": image[0] + len(image) - 1}
+            elif (len(image) - len(parts)) % 2 != 1:
+                bad = {"reason": "length parity not flipped", "got": len(image)}
+            elif _franklin_parts(image) != parts:
+                bad = {"reason": "not an involution", "got": list(_franklin_parts(image) or image)}
             if bad:
-                bad.update({"partition": list(parts), "image": list(image.parts)})
+                bad.update({"partition": list(parts), "image": list(image)})
                 return _finish("franklin", params, bad, t0)
     expected = _generalized_pentagonals(max_size)
-    got_sizes = sorted(f.size for f in fixed)
+    got_sizes = sorted(sum(f) for f in fixed)
     if got_sizes != [e[0] for e in expected]:
         ce = {"reason": "fixed-point sizes", "expected": [e[0] for e in expected], "got": got_sizes}
         return _finish("franklin", params, ce, t0)
-    by_size = {f.size: f for f in fixed}
+    by_size = {sum(f): f for f in fixed}
     for size, k, y_exp in expected:
         f = by_size[size]
-        if f.parts[0] + f.length != y_exp or f.perimeter != y_exp - 1 or f.length != k:
+        if f[0] + len(f) != y_exp or len(f) != k:
             ce = {
                 "reason": "fixed-point shape",
                 "size": size,
-                "partition": list(f.parts),
+                "partition": list(f),
                 "expected_y_exponent": y_exp,
                 "expected_length": k,
             }
@@ -225,7 +231,7 @@ def verify_franklin(max_size: int = 40) -> TheoremReport:
 def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremReport:
     """Distinct-part and odd-part partitions with perimeter n are
     equinumerous, counted by the Fibonacci number F(n): enumeration up to
-    enum_limit, the generic gap recurrence up to max_n."""
+    enum_limit, the word-automaton count up to max_n."""
     _require(1, max_n=max_n)
     _require(0, enum_limit=enum_limit)
     t0 = time.perf_counter()
@@ -233,8 +239,8 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
     for n in range(1, max_n + 1):
         fib = fibonacci(n)
         routes = {
-            "recurrence ddistinct(1)": count_by_perimeter(n, d_distinct(1)),
-            "recurrence modone(1)": count_by_perimeter(n, mod_one(1)),
+            "automaton ddistinct(1)": count_by_perimeter(n, d_distinct(1)),
+            "automaton modone(1)": count_by_perimeter(n, mod_one(1)),
         }
         if n <= enum_limit:
             routes["enumeration distinct"] = _brute_count(n, DISTINCT)
@@ -355,8 +361,8 @@ def _parity_split_enumeration(n: int) -> tuple[int, int]:
 def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> TheoremReport:
     """The even/odd-length excess over distinct-part partitions of fixed
     perimeter follows the period-6 pattern 0, -1, -1, 0, 1, 1; four
-    computations (closed form, coupled recurrence, binomial sums,
-    enumeration) and the series expansion of -q / (1 - q + q^2) agree."""
+    computations (closed form, the automaton's parity split, binomial
+    sums, enumeration) and the series expansion of -q / (1 - q + q^2) agree."""
     _require(1, max_n=max_n)
     _require(0, enum_limit=enum_limit)
     t0 = time.perf_counter()
@@ -416,7 +422,7 @@ def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
 def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     """For gap parameter d, the three families (parts differing by at least
     d; parts congruent to 1 mod d+1; the residue-and-gap class) are
-    equinumerous at every perimeter, match the gap recurrence, and the
+    equinumerous at every perimeter, match the word-automaton count, and the
     residue-and-gap class is reproduced by block-grammar generation."""
     if d < 1:
         raise InvalidD("d must be a positive integer")
@@ -428,16 +434,16 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
         h = _brute_count(n, dd)
         f = _brute_count(n, mo)
         g_set = set(_brute_members(n, gc))
-        rec = count_by_perimeter(n, dd)
+        automaton = count_by_perimeter(n, dd)
         grammar_set = gclass_by_block_grammar(n, d)
-        if not (h == f == len(g_set) == rec) or grammar_set != g_set:
+        if not (h == f == len(g_set) == automaton) or grammar_set != g_set:
             ce = {
                 "n": n,
                 "d": d,
                 "d_distinct": h,
                 "mod_one": f,
                 "g_class": len(g_set),
-                "recurrence": rec,
+                "automaton": automaton,
                 "block_grammar": len(grammar_set),
             }
             if grammar_set != g_set:
@@ -532,8 +538,7 @@ def _series_andrews_franklin(qbound: int) -> MultiPoly:
     acc: dict[tuple[int, int], int] = {(0, 0): 1}
     for n in range(1, qbound + 1):
         for parts in partitions_of_size(n, distinct=True):
-            p = Partition(parts)
-            if franklin(p) is None:
+            if _franklin_parts(parts) is None:
                 key = (parts[0] + len(parts), n)
                 acc[key] = acc.get(key, 0) + (-1) ** len(parts)
     return MultiPoly(("y", "q"), acc, qbound)

@@ -5,20 +5,20 @@ The central statistic here is the *perimeter* ``parts[0] + len(parts) - 1``,
 which equals the largest hook length of the Young diagram (the hook of the
 top-left cell runs along the whole first row and first column).
 
-Each constraint class also has a transition table (:func:`transitions`):
-which first parts are allowed, which parts may follow a given part, and
-which last parts are allowed.  Enumeration and refined counting walk that
-table; :func:`parts_are_member` stays a separate predicate written from the
+Each constraint class also has a minimal automaton on its boundary words
+(:class:`WordAutomaton`), the one representation the counting engine works
+from; :func:`parts_are_member` stays a separate predicate written from the
 class definitions, so the two can check each other.
 
-All values are immutable and all functions are pure, so everything in this
-module is safe to share between threads.
+All values are immutable (a word automaton replaces its reach table
+whole) and all functions are pure, so everything in this module is safe
+to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 
@@ -154,6 +154,11 @@ class ConstraintClass:
         first use so that per-word calls skip the dispatch."""
         return _member_test(self)
 
+    @cached_property
+    def automaton(self) -> "WordAutomaton":
+        """The class's :class:`WordAutomaton`, shared by equal classes."""
+        return _automaton_of(self)
+
     def __getstate__(self) -> dict:
         # the bound ``member`` test is a closure: pickle the fields only
         return {"kind": self.kind, "d": self.d}
@@ -192,7 +197,7 @@ def _member_test(c: ConstraintClass) -> Callable[[tuple[int, ...]], bool]:
     ``odd`` the residue test with modulus 2."""
     kind = c.kind
     if kind == "any":
-        return _always
+        return lambda parts: True
     if kind == "distinct" or kind == "ddistinct":
         d = c.d or 1
 
@@ -238,54 +243,37 @@ def _member_test(c: ConstraintClass) -> Callable[[tuple[int, ...]], bool]:
     return residues_and_gaps
 
 
-@dataclass(frozen=True)
-class PartTransitions:
-    """A constraint class as a rule on consecutive parts.
+class WordAutomaton:
+    """A deterministic automaton on the boundary word after its leading E;
+    each N closes a part equal to the E's so far.  ``on_e[s]``/``on_n[s]``:
+    the state after an E/N from ``s``, or -1 where the class refuses it
+    (every state accepts); ``after_*``/``before_*``: per state, the bitmask
+    of the states a letter later/earlier; ``reach``: see ``counting._reach``."""
 
-    A parts tuple belongs to the class exactly when ``first`` accepts its
-    first part, each later part is among ``follows`` of the part before it,
-    and ``last`` accepts its last part.  ``follows(x)`` lists the allowed
-    next parts largest first, and is only asked about parts ``x`` that are
-    themselves allowed in the class.
-    """
-
-    first: Callable[[int], bool]
-    follows: Callable[[int], Sequence[int]]
-    last: Callable[[int], bool]
+    def __init__(self, start: int, on_e: tuple[int, ...], on_n: tuple[int, ...]):
+        self.start, self.on_e, self.on_n, self.reach = start, on_e, on_n, ()
+        self.after_e, self.after_n = (tuple(1 << t if t >= 0 else 0 for t in on) for on in (on_e, on_n))
+        self.before_e, self.before_n = (
+            tuple(sum(1 << s for s, t in enumerate(on) if t == u) for u in range(len(on))) for on in (on_e, on_n))
 
 
-def _always(x: int) -> bool:
-    return True
-
-
-def transitions(c: ConstraintClass) -> PartTransitions:
-    """The transition table of class ``c``: every class is a local
-    condition on consecutive parts (and on the last part against a virtual
-    trailing 0), so members can be generated and counted part by part."""
-    kind, d = c.kind, c.d
-    if kind == "any":
-        return PartTransitions(_always, lambda x: range(x, 0, -1), _always)
-    if kind == "distinct":
-        return PartTransitions(_always, lambda x: range(x - 1, 0, -1), _always)
-    if kind == "odd":
-        return PartTransitions(lambda x: x % 2 == 1, lambda x: range(x, 0, -2), _always)
-    if kind == "ddistinct":
-        return PartTransitions(_always, lambda x: range(x - d, 0, -1), _always)
-    if kind == "modone":
-        m = d + 1
-        return PartTransitions(lambda x: x % m == 1, lambda x: range(x, 0, -m), _always)
-    # gclass: the gap to the next part (or to the virtual trailing 0) is at
-    # most 2d + 1, and strictly less at parts == 1 mod 2d + 1
-    mod = 2 * d + 1
-    residues = (1, (d + 2) % mod)
-
-    def max_gap(x: int) -> int:
-        return mod - 1 if x % mod == 1 else mod
-
-    def follows(x: int) -> list[int]:
-        return [y for y in range(x, max(x - max_gap(x) - 1, 0), -1) if y % mod in residues]
-
-    return PartTransitions(lambda x: x % mod in residues, follows, lambda x: x <= max_gap(x))
+@lru_cache(maxsize=None)
+def _automaton_of(c: ConstraintClass) -> WordAutomaton:
+    """The minimal word automaton of class ``c``: 1 state for ``any``, d + 1
+    for ``ddistinct:d`` and ``modone:d`` (``distinct`` and ``odd`` are d = 1;
+    ``any`` is ``ddistinct`` with d = 0) and 2d + 2 for ``gclass:d``."""
+    kind, d = c.kind, 0 if c.kind == "any" else c.d or 1
+    if kind in ("any", "distinct", "ddistinct"):
+        # state: the E's since the last N, capped at d; an N needs d of them
+        return WordAutomaton(d, tuple(min(s + 1, d) for s in range(d + 1)), (-1,) * d + (0,))
+    if kind in ("odd", "modone"):
+        # state: the E count mod d + 1; an N needs residue 1
+        return WordAutomaton(1, tuple((s + 1) % (d + 1) for s in range(d + 1)), (-1, 1) + (-1,) * (d - 1))
+    # gclass, residues mod 2d + 1: s = the E's since the last N, plus d if that
+    # part (or the start) is 1; an N makes a part d + 2 at s = 0, 2d + 1 and 1 at s = d.
+    top, states = 2 * d + 1, range(2 * d + 2)
+    on_n = tuple(d if s == d else 0 if s in (0, top) else -1 for s in states)
+    return WordAutomaton(d, tuple(s + 1 if s < top else -1 for s in states), on_n)
 
 
 def is_member(p: Partition, c: ConstraintClass) -> bool:

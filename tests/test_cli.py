@@ -91,6 +91,26 @@ def test_enumerate_usage_error(capsys):
     assert "perimeter" in err
 
 
+def test_enumerate_refuses_output_over_the_bound(capsys):
+    # 2^39 partitions: refused before anything is listed
+    code, out, err = run(capsys, "enumerate", "--perimeter", "40", "--class", "any")
+    assert code == 2
+    assert out == ""
+    assert "549755813888" in err
+
+
+def test_enumerate_output_bound_is_inclusive(capsys, monkeypatch):
+    from hookcomb import cli
+
+    monkeypatch.setattr(cli, "ENUMERATE_OUTPUT_LIMIT", 144)  # F(12)
+    code, out, _ = run(capsys, "enumerate", "--perimeter", "12", "--class", "distinct")
+    assert code == 0
+    assert len(out.splitlines()) == 144
+    code, out, _ = run(capsys, "enumerate", "--perimeter", "13", "--class", "distinct")
+    assert code == 2
+    assert out == ""
+
+
 def test_bad_class_spec_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--perimeter", "3", "--class", "prime"])

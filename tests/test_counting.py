@@ -1,5 +1,6 @@
 import math
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 
 import pytest
 
@@ -24,7 +25,7 @@ from hookcomb import (
     mod_one,
     q_eo,
 )
-from hookcomb.counting import _gap_count, parts_by_perimeter
+from hookcomb.counting import parts_by_perimeter
 from hookcomb.identities import _all_classes
 from hookcomb.partitions import parts_are_member
 from hookcomb.profile import parts_from_word_bits
@@ -38,6 +39,19 @@ def brute_force_members(n, c):
     """Independent route: filter every boundary word of perimeter n with the
     membership predicate (sorted reverse-lexicographically)."""
     return [p for p in parts_by_perimeter(n) if parts_are_member(p, c)]
+
+
+def windowed_count(n, c):
+    """Independent route: 2^(n-1) for ``any``; otherwise the gap recurrence
+    c(n) = c(n-1) + c(n-d-1) with c(1) = ... = c(d+1) = 1 (d = 1 for
+    ``distinct`` and ``odd``), keeping the last d + 1 values."""
+    if c.kind == "any":
+        return 1 << (n - 1)
+    d = c.d or 1
+    window = deque([1] * (d + 1), maxlen=d + 1)
+    for _ in range(d + 2, n + 1):
+        window.append(window[-1] + window[0])
+    return window[-1]
 
 
 def partitions_by_perimeter_oracle(n):
@@ -156,10 +170,34 @@ def test_fibonacci_convention():
 
 
 def test_fibonacci_against_gap_recurrence():
-    # _gap_count(1, n) runs the Fibonacci recurrence one step at a time;
-    # test_gap_count_at_large_perimeter compares the two at n = 10^5
+    # windowed_count(n, DISTINCT) runs the Fibonacci recurrence one step at a
+    # time; test_gap_count_at_large_perimeter compares the two at n = 10^5
     for n in range(1, 2001):
-        assert fibonacci(n) == _gap_count(1, n)
+        assert fibonacci(n) == windowed_count(n, DISTINCT)
+
+
+@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+def test_counts_at_large_perimeter_match_windowed_recurrence(c):
+    for n in (2999, 3000):
+        assert count_by_perimeter(n, c) == windowed_count(n, c), n
+
+
+@pytest.mark.parametrize("c", [DISTINCT, ODD, d_distinct(1), mod_one(1)], ids=str)
+def test_fibonacci_classes_at_perimeter_1e5(c):
+    assert count_by_perimeter(10**5, c) == fibonacci(10**5)
+
+
+def test_parity_split_at_perimeter_1e5_in_bounded_memory():
+    n = 10**5
+    tracemalloc.start()
+    try:
+        even, odd = count_parity_split(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total, excess = fibonacci(n), excess_e(n)
+    assert (even, odd) == ((total + excess) // 2, (total - excess) // 2)
+    assert peak < 2**20, peak
 
 
 def test_fibonacci_addition_formula():

@@ -33,7 +33,10 @@ from hookcomb import (
     verify_refinements,
     verify_rogers_fine,
 )
+from hookcomb import identities
+from hookcomb.counting import partitions_of_size
 from hookcomb.identities import (
+    _franklin_parts,
     _series_andrews_franklin,
     _series_andrews_lhs,
     _series_andrews_middle,
@@ -60,6 +63,29 @@ def test_franklin_fixed_points():
     assert franklin(make_partition([1])) is None  # size 1
     assert franklin(make_partition([2])) is None  # size 2
     assert franklin(make_partition([6, 5, 4])) is None  # size 15
+
+
+def test_franklin_parts_agrees_with_franklin():
+    for n in range(1, 41):
+        for parts in partitions_of_size(n, distinct=True):
+            image = franklin(make_partition(parts))
+            assert _franklin_parts(parts) == (None if image is None else image.parts), parts
+
+
+@pytest.mark.parametrize(
+    "broken, reason",
+    [
+        (lambda parts: (2, 2) if parts == (3,) else _franklin_parts(parts), "image is not a distinct-part partition"),
+        (lambda parts: (2, 1, 0) if parts == (3,) else _franklin_parts(parts), "image is not a distinct-part partition"),
+        (lambda parts: (3, 1) if parts == (3,) else _franklin_parts(parts), "size changed"),
+    ],
+)
+def test_verify_franklin_reports_a_bad_image(monkeypatch, broken, reason):
+    monkeypatch.setattr(identities, "_franklin_parts", broken)
+    report = verify_franklin(max_size=10)
+    assert report.status == "fail"
+    assert report.counterexample["reason"] == reason
+    assert report.counterexample["partition"] == [3]
 
 
 def test_franklin_rejects_repeats():
