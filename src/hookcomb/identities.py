@@ -1,18 +1,23 @@
 """Named verification checks for the perimeter-graded partition theorems.
 
-Each check sweeps a parameter range, compares independently computed
-quantities, and returns a :class:`TheoremReport`: pass, or fail with the
-smallest counterexample found (ranges are scanned in increasing order, so
-the first discrepancy is the minimal one).  Checks never raise on a
-mathematical mismatch, only on invalid parameters.
+Each check is a scan: a generator that sweeps the check's parameter range
+in increasing order, compares independently computed quantities, and
+yields a counterexample (the case plus the conflicting values) wherever
+they disagree.  :func:`_report` runs a scan up to its first counterexample,
+which is therefore the smallest one, and returns a :class:`TheoremReport`:
+fail with that counterexample, or pass when the scan ends without one.
+Where several routes compute one value, :func:`_disagreement` names the
+first route that got it wrong.  Checks never raise on a mathematical
+mismatch, only on invalid parameters, and those raise when the check is
+called, before any scan work starts.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, Iterator
+from itertools import chain, compress
+from typing import Callable, Iterable, Iterator
 
 from .counting import (
     LargestPart,
@@ -72,6 +77,8 @@ class TheoremReport:
     elapsed_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.status not in ("pass", "fail"):
+            raise ValueError(f"status must be 'pass' or 'fail', got {self.status!r}")
         if (self.status == "fail") != (self.counterexample is not None):
             raise ValueError("fail status and counterexample must appear together")
 
@@ -95,14 +102,38 @@ def _require(minimum: int, **params: int) -> None:
             raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
-def _finish(check_id: str, params: dict, counterexample: dict | None, t0: float) -> TheoremReport:
+def _report(check_id: str, params: dict, scan: Iterator[dict]) -> TheoremReport:
+    """Time ``scan`` up to its first counterexample: fail with it, or pass
+    when the scan ends without one."""
+    clock = time.perf_counter
+    t0 = clock()
+    counterexample = next(scan, None)
     return TheoremReport(
         check_id=check_id,
         params=params,
-        status="fail" if counterexample else "pass",
+        status="pass" if counterexample is None else "fail",
         counterexample=counterexample,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        elapsed_ms=(clock() - t0) * 1000.0,
     )
+
+
+def _disagreement(case: dict, label: str, expected: object, routes: dict) -> Iterator[dict]:
+    """The first of ``routes`` (route name -> value) that does not give
+    ``expected``, as a counterexample: the case, the route, what it got,
+    and the reference value under ``label``."""
+    for route, got in routes.items():
+        if got != expected:
+            yield {**case, "route": route, "got": got, label: expected}
+            return
+
+
+def _brute_series(variables: tuple[str, ...], terms: Iterable[tuple], qbound: int) -> MultiPoly:
+    """Brute-force route for a series: the sum of the (exponents,
+    coefficient) terms, truncated at q-degree ``qbound``."""
+    acc: dict[tuple[int, ...], int] = {}
+    for exps, coeff in terms:
+        acc[exps] = acc.get(exps, 0) + coeff
+    return MultiPoly(variables, acc, qbound)
 
 
 def _brute_members(n: int, c: ConstraintClass) -> Iterator[tuple[int, ...]]:
@@ -116,6 +147,13 @@ def _brute_count(n: int, c: ConstraintClass) -> int:
     """How many of the 2^(n-1) partitions of perimeter ``n`` the membership
     test of ``c`` accepts."""
     return sum(map(c.member, parts_by_perimeter(n)))
+
+
+def _distinct_by_size(max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(size, parts) for every distinct-part partition of size 1..max_size."""
+    for n in range(1, max_size + 1):
+        for parts in partitions_of_size(n, distinct=True):
+            yield n, parts
 
 
 # ---------------------------------------------------------------------------
@@ -175,57 +213,62 @@ def _generalized_pentagonals(limit: int) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
+def _scan_franklin(max_size: int) -> Iterator[dict]:
+    fixed: list[tuple[int, ...]] = []
+    for n, parts in _distinct_by_size(max_size):
+        image = _franklin_parts(parts)
+        if image is None:
+            fixed.append(parts)
+            continue
+        bad = None
+        if not (image and image[-1] >= 1 and all(a > b for a, b in zip(image, image[1:]))):
+            bad = {"reason": "image is not a distinct-part partition"}
+        elif sum(image) != n:
+            bad = {"reason": "size changed", "got": sum(image)}
+        elif image[0] + len(image) != parts[0] + len(parts):
+            bad = {"reason": "perimeter changed", "got": image[0] + len(image) - 1}
+        elif (len(image) - len(parts)) % 2 != 1:
+            bad = {"reason": "length parity not flipped", "got": len(image)}
+        elif _franklin_parts(image) != parts:
+            bad = {"reason": "not an involution", "got": list(_franklin_parts(image) or image)}
+        if bad:
+            yield {**bad, "partition": list(parts), "image": list(image)}
+    expected = _generalized_pentagonals(max_size)
+    got_sizes = sorted(sum(f) for f in fixed)
+    if got_sizes != [e[0] for e in expected]:
+        yield {"reason": "fixed-point sizes", "expected": [e[0] for e in expected], "got": got_sizes}
+        return
+    by_size = {sum(f): f for f in fixed}
+    for size, k, y_exp in expected:
+        f = by_size[size]
+        if f[0] + len(f) != y_exp or len(f) != k:
+            shape = {"partition": list(f), "expected_y_exponent": y_exp, "expected_length": k}
+            yield {"reason": "fixed-point shape", "size": size, **shape}
+
+
 def verify_franklin(max_size: int = 40) -> TheoremReport:
     """Involution, parity flip, size and perimeter preservation on all
     distinct-part partitions of size <= max_size; fixed points sit exactly
     at the generalized pentagonal sizes, one each, with the staircase shape
     the surviving series terms predict."""
     _require(1, max_size=max_size)
-    t0 = time.perf_counter()
-    params = {"max_size": max_size}
-    fixed: list[tuple[int, ...]] = []
-    for n in range(1, max_size + 1):
-        for parts in partitions_of_size(n, distinct=True):
-            image = _franklin_parts(parts)
-            if image is None:
-                fixed.append(parts)
-                continue
-            bad = None
-            if not (image and image[-1] >= 1 and all(a > b for a, b in zip(image, image[1:]))):
-                bad = {"reason": "image is not a distinct-part partition"}
-            elif sum(image) != n:
-                bad = {"reason": "size changed", "got": sum(image)}
-            elif image[0] + len(image) != parts[0] + len(parts):
-                bad = {"reason": "perimeter changed", "got": image[0] + len(image) - 1}
-            elif (len(image) - len(parts)) % 2 != 1:
-                bad = {"reason": "length parity not flipped", "got": len(image)}
-            elif _franklin_parts(image) != parts:
-                bad = {"reason": "not an involution", "got": list(_franklin_parts(image) or image)}
-            if bad:
-                bad.update({"partition": list(parts), "image": list(image)})
-                return _finish("franklin", params, bad, t0)
-    expected = _generalized_pentagonals(max_size)
-    got_sizes = sorted(sum(f) for f in fixed)
-    if got_sizes != [e[0] for e in expected]:
-        ce = {"reason": "fixed-point sizes", "expected": [e[0] for e in expected], "got": got_sizes}
-        return _finish("franklin", params, ce, t0)
-    by_size = {sum(f): f for f in fixed}
-    for size, k, y_exp in expected:
-        f = by_size[size]
-        if f[0] + len(f) != y_exp or len(f) != k:
-            ce = {
-                "reason": "fixed-point shape",
-                "size": size,
-                "partition": list(f),
-                "expected_y_exponent": y_exp,
-                "expected_length": k,
-            }
-            return _finish("franklin", params, ce, t0)
-    return _finish("franklin", params, None, t0)
+    return _report("franklin", {"max_size": max_size}, _scan_franklin(max_size))
 
 
 # ---------------------------------------------------------------------------
 # Counting theorems
+
+
+def _scan_euler_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
+    for n in range(1, max_n + 1):
+        routes = {
+            "automaton ddistinct(1)": count_by_perimeter(n, d_distinct(1)),
+            "automaton modone(1)": count_by_perimeter(n, mod_one(1)),
+        }
+        if n <= enum_limit:
+            routes["enumeration distinct"] = _brute_count(n, DISTINCT)
+            routes["enumeration odd"] = _brute_count(n, ODD)
+        yield from _disagreement({"n": n}, "fibonacci", fibonacci(n), routes)
 
 
 def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremReport:
@@ -234,30 +277,16 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
     enum_limit, the word-automaton count up to max_n."""
     _require(1, max_n=max_n)
     _require(0, enum_limit=enum_limit)
-    t0 = time.perf_counter()
     params = {"max_n": max_n, "enum_limit": enum_limit}
-    for n in range(1, max_n + 1):
-        fib = fibonacci(n)
-        routes = {
-            "automaton ddistinct(1)": count_by_perimeter(n, d_distinct(1)),
-            "automaton modone(1)": count_by_perimeter(n, mod_one(1)),
-        }
-        if n <= enum_limit:
-            routes["enumeration distinct"] = _brute_count(n, DISTINCT)
-            routes["enumeration odd"] = _brute_count(n, ODD)
-        for label, value in routes.items():
-            if value != fib:
-                ce = {"n": n, "route": label, "got": value, "fibonacci": fib}
-                return _finish("euler-analogue", params, ce, t0)
-    return _finish("euler-analogue", params, None, t0)
+    return _report("euler-analogue", params, _scan_euler_analogue(max_n, enum_limit))
 
 
-def _codec_mismatch(table: tuple[tuple[int, ...], ...], n: int) -> dict | None:
+def _codec_mismatches(table: tuple[tuple[int, ...], ...], n: int) -> Iterator[dict]:
     """Codec route for the perimeter-``n`` table: each entry must encode to
     a boundary word of length n + 1 (first letter E) that decodes back to
     it, and no two entries may share a word.  With 2^(n-1) entries that
-    makes the table exactly the partitions of perimeter n.  Returns the
-    first offending entry, or None.
+    makes the table exactly the partitions of perimeter n.  Yields each
+    offending entry.
 
     The round trip rules out tuples that are not partitions: (5, 2, 5)
     encodes to the word of (5, 4, 3).  One flag per word, so the check
@@ -267,40 +296,30 @@ def _codec_mismatch(table: tuple[tuple[int, ...], ...], n: int) -> dict | None:
     for parts in table:
         length, bits = word_bits_from_parts(parts)
         if length != n + 1 or bits & 1 or parts_from_word_bits(length, bits) != parts:
-            return {"n": n, "partition": list(parts), "reason": "not a partition of this perimeter"}
-        index = (bits >> 1) ^ top  # the n - 1 free letters
-        if seen[index]:
-            return {"n": n, "partition": list(parts), "reason": "boundary word repeated"}
-        seen[index] = 1
-    return None
+            yield {"n": n, "partition": list(parts), "reason": "not a partition of this perimeter"}
+        elif seen[index := (bits >> 1) ^ top]:  # the n - 1 free letters
+            yield {"n": n, "partition": list(parts), "reason": "boundary word repeated"}
+        else:
+            seen[index] = 1
+
+
+def _scan_powers_of_two(max_n: int) -> Iterator[dict]:
+    for n in range(1, max_n + 1):
+        table = parts_by_perimeter(n)
+        yield from _codec_mismatches(table, n)
+        routes = {"enumeration any": len(table), "automaton any": count_by_perimeter(n, UNRESTRICTED)}
+        yield from _disagreement({"n": n}, "closed_form", 1 << (n - 1), routes)
 
 
 def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
     """There are 2^(n-1) partitions with perimeter n: the brute-force table
     has that many entries, each a distinct boundary word by the codec
-    route, and the closed form agrees."""
+    route, and the automaton count agrees."""
     _require(1, max_n=max_n)
-    t0 = time.perf_counter()
-    params = {"max_n": max_n}
-    for n in range(1, max_n + 1):
-        table = parts_by_perimeter(n)
-        ce = _codec_mismatch(table, n)
-        if ce is not None:
-            return _finish("powers-of-two", params, ce, t0)
-        got = len(table)
-        closed = count_by_perimeter(n, UNRESTRICTED)
-        if got != 1 << (n - 1) or closed != 1 << (n - 1):
-            ce = {"n": n, "enumerated": got, "closed_form": closed, "expected": 1 << (n - 1)}
-            return _finish("powers-of-two", params, ce, t0)
-    return _finish("powers-of-two", params, None, t0)
+    return _report("powers-of-two", {"max_n": max_n}, _scan_powers_of_two(max_n))
 
 
-def verify_refinements(max_n: int = 14) -> TheoremReport:
-    """The three refined equinumerations between distinct-part and odd-part
-    partitions of fixed perimeter, with their binomial counts."""
-    _require(1, max_n=max_n)
-    t0 = time.perf_counter()
-    params = {"max_n": max_n}
+def _scan_refinements(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
         distinct = list(_brute_members(n, DISTINCT))
         odd = list(_brute_members(n, ODD))
@@ -329,18 +348,15 @@ def verify_refinements(max_n: int = 14) -> TheoremReport:
                 ),
             ]
             for label, lhs, rhs, closed, api in cases:
-                if not (lhs == rhs == closed == api):
-                    ce = {
-                        "n": n,
-                        "k": k,
-                        "case": label,
-                        "distinct_count": lhs,
-                        "odd_count": rhs,
-                        "binomial": closed,
-                        "count_refined": api,
-                    }
-                    return _finish("refinements", params, ce, t0)
-    return _finish("refinements", params, None, t0)
+                routes = {"enumeration distinct": lhs, "enumeration odd": rhs, "automaton distinct": api}
+                yield from _disagreement({"n": n, "k": k, "case": label}, "binomial", closed, routes)
+
+
+def verify_refinements(max_n: int = 14) -> TheoremReport:
+    """The three refined equinumerations between distinct-part and odd-part
+    partitions of fixed perimeter, with their binomial counts."""
+    _require(1, max_n=max_n)
+    return _report("refinements", {"max_n": max_n}, _scan_refinements(max_n))
 
 
 def _parity_split_binomials(n: int) -> tuple[int, int]:
@@ -358,6 +374,27 @@ def _parity_split_enumeration(n: int) -> tuple[int, int]:
     return len(odd_flags) - odd, odd
 
 
+def _parity_split_routes(n: int, enum_limit: int) -> dict[str, list[int]]:
+    """The independent routes to count_parity_split(n), as [even, odd]."""
+    routes = {"binomial_sums": list(_parity_split_binomials(n))}
+    if n <= enum_limit:
+        routes["enumeration"] = list(_parity_split_enumeration(n))
+    return routes
+
+
+def _scan_pentagonal_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
+    (q,) = poly_gens("q")
+    one = MultiPoly.constant(1, ("q",))
+    series = expand(RationalGF(-q, one - q + q * q), max_n)
+    for n in range(1, max_n + 1):
+        split = list(count_parity_split(n))
+        yield from _disagreement({"n": n}, "parity_split", split, _parity_split_routes(n, enum_limit))
+        routes = {"parity_split": split[0] - split[1], "series": series.coefficient({"q": n})}
+        if n >= 4:
+            routes["negated_shift"] = -excess_e(n - 3)
+        yield from _disagreement({"n": n}, "closed_form", excess_e(n), routes)
+
+
 def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> TheoremReport:
     """The even/odd-length excess over distinct-part partitions of fixed
     perimeter follows the period-6 pattern 0, -1, -1, 0, 1, 1; four
@@ -365,33 +402,8 @@ def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> Theorem
     sums, enumeration) and the series expansion of -q / (1 - q + q^2) agree."""
     _require(1, max_n=max_n)
     _require(0, enum_limit=enum_limit)
-    t0 = time.perf_counter()
     params = {"max_n": max_n, "enum_limit": enum_limit}
-    (q,) = poly_gens("q")
-    one = MultiPoly.constant(1, ("q",))
-    q2 = q * q
-    series = expand(RationalGF(-q, one - q + q2), max_n)
-    for n in range(1, max_n + 1):
-        closed = excess_e(n)
-        split = count_parity_split(n)
-        splits = {"binomial_sums": _parity_split_binomials(n)}
-        if n <= enum_limit:
-            splits["enumeration"] = _parity_split_enumeration(n)
-        routes = {
-            "parity_split": split[0] - split[1],
-            "series": series.coefficient({"q": n}),
-        }
-        if n >= 4:
-            routes["negated_shift"] = -excess_e(n - 3)
-        for label, pair in splits.items():
-            if pair != split:
-                ce = {"n": n, "route": label, "got": list(pair), "parity_split": list(split)}
-                return _finish("pentagonal-analogue", params, ce, t0)
-        for label, value in routes.items():
-            if value != closed:
-                ce = {"n": n, "route": label, "got": value, "closed_form": closed}
-                return _finish("pentagonal-analogue", params, ce, t0)
-    return _finish("pentagonal-analogue", params, None, t0)
+    return _report("pentagonal-analogue", params, _scan_pentagonal_analogue(max_n, enum_limit))
 
 
 def _block_sequences(budget: int, d: int, kind: str):
@@ -419,6 +431,23 @@ def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
     return out
 
 
+def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
+    dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
+    for n in range(1, max_n + 1):
+        g_set = set(_brute_members(n, gc))
+        grammar_set = gclass_by_block_grammar(n, d)
+        routes = {
+            f"enumeration modone({d})": _brute_count(n, mo),
+            f"enumeration gclass({d})": len(g_set),
+            f"automaton ddistinct({d})": count_by_perimeter(n, dd),
+            f"block grammar gclass({d})": len(grammar_set),
+        }
+        yield from _disagreement({"n": n, "d": d}, "d_distinct", _brute_count(n, dd), routes)
+        if grammar_set != g_set:
+            sample = [list(p) for p in sorted(grammar_set ^ g_set)[:3]]
+            yield {"n": n, "d": d, "route": f"block grammar gclass({d})", "set_difference_sample": sample}
+
+
 def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     """For gap parameter d, the three families (parts differing by at least
     d; parts congruent to 1 mod d+1; the residue-and-gap class) are
@@ -427,30 +456,23 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     if d < 1:
         raise InvalidD("d must be a positive integer")
     _require(1, max_n=max_n)
-    t0 = time.perf_counter()
-    params = {"d": d, "max_n": max_n}
-    dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
-    for n in range(1, max_n + 1):
-        h = _brute_count(n, dd)
-        f = _brute_count(n, mo)
-        g_set = set(_brute_members(n, gc))
-        automaton = count_by_perimeter(n, dd)
-        grammar_set = gclass_by_block_grammar(n, d)
-        if not (h == f == len(g_set) == automaton) or grammar_set != g_set:
-            ce = {
-                "n": n,
-                "d": d,
-                "d_distinct": h,
-                "mod_one": f,
-                "g_class": len(g_set),
-                "automaton": automaton,
-                "block_grammar": len(grammar_set),
-            }
-            if grammar_set != g_set:
-                diff = sorted(grammar_set ^ g_set)[:3]
-                ce["set_difference_sample"] = [list(p) for p in diff]
-            return _finish("d-chain", params, ce, t0)
-    return _finish("d-chain", params, None, t0)
+    return _report("d-chain", {"d": d, "max_n": max_n}, _scan_d_chain(d, max_n))
+
+
+def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
+    diff = (a - b).q_coefficients()
+    j = min(diff)
+    exps, _ = diff[j].sorted_terms()[0]
+    named = dict(zip(a.variables, exps))
+    return {"monomial": named, "lhs": a.coefficient(named), "rhs": b.coefficient(named)}
+
+
+def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
+    expanded = expand(gf_of_class(c), qbound)
+    terms = (((parts[0], len(parts), n), 1) for n in range(1, qbound + 1) for parts in _brute_members(n, c))
+    brute = _brute_series(("x", "y", "q"), terms, qbound)
+    if expanded != brute:
+        yield {"class": str(c), "versus": "enumeration", **_first_term_difference(expanded, brute)}
 
 
 def verify_gf_coefficients(c: ConstraintClass, qbound: int = 12) -> TheoremReport:
@@ -458,29 +480,7 @@ def verify_gf_coefficients(c: ConstraintClass, qbound: int = 12) -> TheoremRepor
     coefficient in x, y and q, the brute-force sum over enumerated
     partitions of x^(largest) y^(length) q^(perimeter)."""
     _require(1, qbound=qbound)
-    t0 = time.perf_counter()
-    params = {"class": str(c), "qbound": qbound}
-    expanded = expand(gf_of_class(c), qbound)
-    V = ("x", "y", "q")
-    acc: dict[tuple[int, int, int], int] = {}
-    for n in range(1, qbound + 1):
-        for parts in _brute_members(n, c):
-            key = (parts[0], len(parts), n)
-            acc[key] = acc.get(key, 0) + 1
-    brute = MultiPoly(V, acc, qbound)
-    if expanded != brute:
-        diff = (expanded - brute).q_coefficients()
-        j = min(diff)
-        bad = diff[j].sorted_terms()[0]
-        exps = dict(zip(V, bad[0]))
-        ce = {
-            "class": str(c),
-            "monomial": exps,
-            "series": expanded.coefficient(exps),
-            "enumeration": brute.coefficient(exps),
-        }
-        return _finish("gf-coefficients", params, ce, t0)
-    return _finish("gf-coefficients", params, None, t0)
+    return _report("gf-coefficients", {"class": str(c), "qbound": qbound}, _scan_gf_coefficients(c, qbound))
 
 
 def _all_classes(max_d: int = 5) -> list[ConstraintClass]:
@@ -492,14 +492,11 @@ def _all_classes(max_d: int = 5) -> list[ConstraintClass]:
 
 def verify_gf_all(qbound: int = 12, max_d: int = 5) -> TheoremReport:
     """verify_gf_coefficients across every class (gap parameters 1..max_d)."""
-    t0 = time.perf_counter()
+    _require(1, qbound=qbound)
     classes = _all_classes(max_d)
     params = {"qbound": qbound, "classes": [str(c) for c in classes]}
-    for c in classes:
-        report = verify_gf_coefficients(c, qbound)
-        if not report.passed:
-            return _finish("gf-coefficients", params, report.counterexample, t0)
-    return _finish("gf-coefficients", params, None, t0)
+    scan = chain.from_iterable(_scan_gf_coefficients(c, qbound) for c in classes)
+    return _report("gf-coefficients", params, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +510,7 @@ def _series_andrews_lhs(qbound: int) -> MultiPoly:
     total = MultiPoly.constant(1, V, qbound)
     n = 1
     while n * (n + 1) // 2 <= qbound:
-        head = MultiPoly.monomial(
-            V, (-1) ** n, {"y": 2 * n, "q": n * (n + 1) // 2}, qbound
-        )
+        head = MultiPoly.monomial(V, (-1) ** n, {"y": 2 * n, "q": n * (n + 1) // 2}, qbound)
         total = total + head * series_inverse(pochhammer(yq, n, qbound), qbound)
         n += 1
     return total
@@ -524,24 +519,16 @@ def _series_andrews_lhs(qbound: int) -> MultiPoly:
 def _series_andrews_middle(qbound: int) -> MultiPoly:
     """1 + sum over distinct-part partitions of (-1)^length
     y^(largest + length) q^size, truncated."""
-    acc: dict[tuple[int, int], int] = {(0, 0): 1}
-    for n in range(1, qbound + 1):
-        for parts in partitions_of_size(n, distinct=True):
-            key = (parts[0] + len(parts), n)
-            acc[key] = acc.get(key, 0) + (-1) ** len(parts)
-    return MultiPoly(("y", "q"), acc, qbound)
+    terms = (((parts[0] + len(parts), n), (-1) ** len(parts)) for n, parts in _distinct_by_size(qbound))
+    return _brute_series(("y", "q"), chain([((0, 0), 1)], terms), qbound)
 
 
 def _series_andrews_franklin(qbound: int) -> MultiPoly:
     """Same series, but with the paired partitions cancelled by the
     involution first: only Franklin fixed points contribute."""
-    acc: dict[tuple[int, int], int] = {(0, 0): 1}
-    for n in range(1, qbound + 1):
-        for parts in partitions_of_size(n, distinct=True):
-            if _franklin_parts(parts) is None:
-                key = (parts[0] + len(parts), n)
-                acc[key] = acc.get(key, 0) + (-1) ** len(parts)
-    return MultiPoly(("y", "q"), acc, qbound)
+    fixed = ((n, parts) for n, parts in _distinct_by_size(qbound) if _franklin_parts(parts) is None)
+    terms = (((parts[0] + len(parts), n), (-1) ** len(parts)) for n, parts in fixed)
+    return _brute_series(("y", "q"), chain([((0, 0), 1)], terms), qbound)
 
 
 def _series_andrews_rhs(qbound: int) -> MultiPoly:
@@ -558,12 +545,12 @@ def _series_andrews_rhs(qbound: int) -> MultiPoly:
     return total
 
 
-def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
-    diff = (a - b).q_coefficients()
-    j = min(diff)
-    exps, _ = diff[j].sorted_terms()[0]
-    named = dict(zip(a.variables, exps))
-    return {"monomial": named, "lhs": a.coefficient(named), "rhs": b.coefficient(named)}
+def _scan_andrews_identity(qbound: int) -> Iterator[dict]:
+    a = _series_andrews_lhs(qbound)
+    others = (("enumeration", _series_andrews_middle), ("franklin-paired", _series_andrews_franklin))
+    for label, series in (*others, ("pentagonal", _series_andrews_rhs)):
+        if a != (other := series(qbound)):
+            yield {"versus": label, **_first_term_difference(a, other)}
 
 
 def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
@@ -573,17 +560,7 @@ def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
     terms.  Enumeration after Franklin cancellation is checked as a fourth
     route."""
     _require(1, qbound=qbound)
-    t0 = time.perf_counter()
-    params = {"qbound": qbound}
-    a = _series_andrews_lhs(qbound)
-    b = _series_andrews_middle(qbound)
-    b_franklin = _series_andrews_franklin(qbound)
-    c = _series_andrews_rhs(qbound)
-    for label, other in (("enumeration", b), ("franklin-paired", b_franklin), ("pentagonal", c)):
-        if a != other:
-            ce = {"versus": label, **_first_term_difference(a, other)}
-            return _finish("andrews-identity", params, ce, t0)
-    return _finish("andrews-identity", params, None, t0)
+    return _report("andrews-identity", {"qbound": qbound}, _scan_andrews_identity(qbound))
 
 
 def _series_refined_lhs(qbound: int) -> MultiPoly:
@@ -601,12 +578,8 @@ def _series_refined_lhs(qbound: int) -> MultiPoly:
 
 def _series_refined_middle(qbound: int) -> MultiPoly:
     """sum over distinct-part partitions of x^(largest) y^(length) q^size."""
-    acc: dict[tuple[int, int, int], int] = {}
-    for n in range(1, qbound + 1):
-        for parts in partitions_of_size(n, distinct=True):
-            key = (parts[0], len(parts), n)
-            acc[key] = acc.get(key, 0) + 1
-    return MultiPoly(("x", "y", "q"), acc, qbound)
+    terms = (((parts[0], len(parts), n), 1) for n, parts in _distinct_by_size(qbound))
+    return _brute_series(("x", "y", "q"), terms, qbound)
 
 
 def _series_refined_rhs(qbound: int) -> MultiPoly:
@@ -655,6 +628,27 @@ def regrade_limit(qbound: int) -> int:
     return g
 
 
+def _scan_refined_identity(qbound: int, g_limit: int) -> Iterator[dict]:
+    lhs = _series_refined_lhs(qbound)
+    for label, series in (("enumeration", _series_refined_middle), ("staircase-product", _series_refined_rhs)):
+        if lhs != (other := series(qbound)):
+            yield {"versus": label, **_first_term_difference(lhs, other)}
+    # collapse x -> y, y -> -y: must give the single-variable alternating
+    # series minus its constant term
+    Vy = ("y", "q")
+    y2 = MultiPoly.monomial(Vy, 1, {"y": 1}, qbound)
+    collapsed = lhs.substitute({"x": y2, "y": y2.scale(-1)})
+    andrews = _series_andrews_lhs(qbound) - MultiPoly.constant(1, Vy, qbound)
+    if collapsed != andrews:
+        yield {"versus": "collapsed-to-single-variable", **_first_term_difference(collapsed, andrews)}
+    # regrade by perimeter: x^(largest) y^(length) q^(perimeter), truncated at g_limit
+    terms = (((parts[0], len(parts), parts[0] + len(parts) - 1), 1) for _, parts in _distinct_by_size(qbound))
+    regraded = _brute_series(("x", "y", "q"), terms, g_limit)
+    direct = expand(gf_of_class(DISTINCT), g_limit)
+    if regraded != direct:
+        yield {"versus": "perimeter-regrade", **_first_term_difference(direct, regraded)}
+
+
 def verify_refined_identity(qbound: int = 15) -> TheoremReport:
     """The two-variable refinement of the pentagonal-type identity: the
     alternating series, the enumeration of distinct-part partitions graded
@@ -663,39 +657,9 @@ def verify_refined_identity(qbound: int = 15) -> TheoremReport:
     identity; and regrading the enumeration by perimeter recovers the
     rational form for distinct parts."""
     _require(1, qbound=qbound)
-    t0 = time.perf_counter()
     g_limit = regrade_limit(qbound)
     params = {"qbound": qbound, "regrade_perimeter_limit": g_limit}
-    lhs = _series_refined_lhs(qbound)
-    mid = _series_refined_middle(qbound)
-    rhs = _series_refined_rhs(qbound)
-    for label, other in (("enumeration", mid), ("staircase-product", rhs)):
-        if lhs != other:
-            ce = {"versus": label, **_first_term_difference(lhs, other)}
-            return _finish("refined-identity", params, ce, t0)
-    # collapse x -> y, y -> -y: must give the single-variable alternating
-    # series minus its constant term
-    Vy = ("y", "q")
-    y2 = MultiPoly.monomial(Vy, 1, {"y": 1}, qbound)
-    collapsed = lhs.substitute({"x": y2, "y": y2.scale(-1)})
-    andrews = _series_andrews_lhs(qbound) - MultiPoly.constant(1, Vy, qbound)
-    if collapsed != andrews:
-        ce = {"versus": "collapsed-to-single-variable", **_first_term_difference(collapsed, andrews)}
-        return _finish("refined-identity", params, ce, t0)
-    # regrade by perimeter: x^(largest) y^(length) q^(perimeter)
-    acc: dict[tuple[int, int, int], int] = {}
-    for n in range(1, qbound + 1):
-        for parts in partitions_of_size(n, distinct=True):
-            g = parts[0] + len(parts) - 1
-            if g <= g_limit:
-                key = (parts[0], len(parts), g)
-                acc[key] = acc.get(key, 0) + 1
-    regraded = MultiPoly(("x", "y", "q"), acc, g_limit)
-    direct = expand(gf_of_class(DISTINCT), g_limit)
-    if regraded != direct:
-        ce = {"versus": "perimeter-regrade", **_first_term_difference(direct, regraded)}
-        return _finish("refined-identity", params, ce, t0)
-    return _finish("refined-identity", params, None, t0)
+    return _report("refined-identity", params, _scan_refined_identity(qbound, g_limit))
 
 
 def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
@@ -746,18 +710,19 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
     return lhs, rhs
 
 
+def _scan_rogers_fine(qbound: int) -> Iterator[dict]:
+    lhs, rhs = rogers_fine_sides(qbound)
+    if lhs != rhs:
+        yield _first_term_difference(lhs, rhs)
+
+
 def verify_rogers_fine(qbound: int = 10) -> TheoremReport:
     """Both sides of the Rogers-Fine transformation, specialized with
     alpha = aq, beta = bq, tau = btq so every coefficient is an integer
     polynomial in a, b, t, agree termwise to the q-degree bound."""
     _require(1, qbound=qbound)
-    t0 = time.perf_counter()
     params = {"qbound": qbound, "alpha": "a*q", "beta": "b*q", "tau": "b*t*q"}
-    lhs, rhs = rogers_fine_sides(qbound)
-    if lhs != rhs:
-        ce = _first_term_difference(lhs, rhs)
-        return _finish("rogers-fine", params, ce, t0)
-    return _finish("rogers-fine", params, None, t0)
+    return _report("rogers-fine", params, _scan_rogers_fine(qbound))
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +742,23 @@ _CONGRUENCE_FAMILIES = (
 _CONGRUENCE_MIN_N = max(offset or step for _, step, offset, *_ in _CONGRUENCE_FAMILIES)
 
 
+def _scan_congruences(max_n: int, enum_limit: int) -> Iterator[dict]:
+    for label, step, offset, which, modulus, residue in _CONGRUENCE_FAMILIES:
+        for arg in range(offset or step, max_n + 1, step):
+            case = {"family": label, "argument": arg, "modulus": modulus, "residue": residue}
+            if which == "total":
+                value = fibonacci(arg)
+                routes = {"enumeration": _brute_count(arg, DISTINCT)} if arg <= enum_limit else {}
+                yield from _disagreement(case, "h_D", value, routes)
+                if value % modulus != residue:
+                    yield {**case, "h_D": value}
+            else:
+                even, odd = split = list(count_parity_split(arg))
+                yield from _disagreement(case, "parity_split", split, _parity_split_routes(arg, enum_limit))
+                if not (even == odd and even % modulus == residue):
+                    yield {**case, "h_DE": even, "h_DO": odd}
+
+
 def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
     """The seven stated congruences for distinct-part perimeter counts, for
     every argument (multiplier form) up to max_n; the parity splits are
@@ -784,55 +766,28 @@ def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
     counts against enumeration for small arguments."""
     _require(_CONGRUENCE_MIN_N, max_n=max_n)
     _require(0, enum_limit=enum_limit)
-    t0 = time.perf_counter()
-    params = {"max_n": max_n, "enum_limit": enum_limit}
-    for label, step, offset, which, modulus, residue in _CONGRUENCE_FAMILIES:
-        arg = offset if offset else step
-        while arg <= max_n:
-            if which == "total":
-                value = fibonacci(arg)
-                ok = value % modulus == residue
-                values = {"h_D": value}
-                routes = {"enumeration": _brute_count(arg, DISTINCT)} if arg <= enum_limit else {}
-            else:
-                value = count_parity_split(arg)
-                even, odd = value
-                ok = even == odd and even % modulus == residue
-                values = {"h_DE": even, "h_DO": odd}
-                routes = {"binomial_sums": _parity_split_binomials(arg)}
-                if arg <= enum_limit:
-                    routes["enumeration"] = _parity_split_enumeration(arg)
-            for route, got in routes.items():
-                if got != value:
-                    ok = False
-                    values[route] = got
-            if not ok:
-                ce = {"family": label, "argument": arg, "modulus": modulus, "residue": residue, **values}
-                return _finish("congruences", params, ce, t0)
-            arg += step
-    return _finish("congruences", params, None, t0)
+    return _report("congruences", {"max_n": max_n, "enum_limit": enum_limit}, _scan_congruences(max_n, enum_limit))
 
 
-def verify_fibonacci(max_add: int = 30, max_div: int = 60) -> TheoremReport:
-    """The addition formula F(m+n) = F(m+1) F(n) + F(m) F(n-1) and the
-    divisibility rule m | n implies F(m) | F(n)."""
-    _require(1, max_add=max_add, max_div=max_div)
-    t0 = time.perf_counter()
-    params = {"max_add": max_add, "max_div": max_div}
+def _scan_fibonacci(max_add: int, max_div: int) -> Iterator[dict]:
     fib = [fibonacci(i) for i in range(max_add + max_div + 2)]
     for m in range(0, max_add + 1):
         for n in range(1, max_add + 1):
             lhs = fib[m + n]
             rhs = fib[m + 1] * fib[n] + fib[m] * fib[n - 1]
             if lhs != rhs:
-                ce = {"claim": "addition", "m": m, "n": n, "lhs": lhs, "rhs": rhs}
-                return _finish("fibonacci", params, ce, t0)
+                yield {"claim": "addition", "m": m, "n": n, "lhs": lhs, "rhs": rhs}
     for m in range(1, max_div + 1):
         for n in range(m, max_div + 1, m):
             if fib[n] % fib[m] != 0:
-                ce = {"claim": "divisibility", "m": m, "n": n, "F_m": fib[m], "F_n": fib[n]}
-                return _finish("fibonacci", params, ce, t0)
-    return _finish("fibonacci", params, None, t0)
+                yield {"claim": "divisibility", "m": m, "n": n, "F_m": fib[m], "F_n": fib[n]}
+
+
+def verify_fibonacci(max_add: int = 30, max_div: int = 60) -> TheoremReport:
+    """The addition formula F(m+n) = F(m+1) F(n) + F(m) F(n-1) and the
+    divisibility rule m | n implies F(m) | F(n)."""
+    _require(1, max_add=max_add, max_div=max_div)
+    return _report("fibonacci", {"max_add": max_add, "max_div": max_div}, _scan_fibonacci(max_add, max_div))
 
 
 def scan_congruence(
@@ -841,18 +796,16 @@ def scan_congruence(
     """Generic scanner: does h_D(step * n + offset) == residue (mod modulus)
     hold for every argument up to max_n?  Plumbing for exploration; nothing
     beyond the seven stated congruences is asserted anywhere."""
-    _require(1, step=step)
-    arg = offset if offset >= 1 else step
-    _require(arg, max_n=max_n)
-    t0 = time.perf_counter()
+    _require(1, step=step, modulus=modulus)
+    first = offset if offset >= 1 else step
+    _require(first, max_n=max_n)
     params = {"step": step, "offset": offset, "modulus": modulus, "residue": residue, "max_n": max_n}
-    while arg <= max_n:
-        value = fibonacci(arg)
-        if value % modulus != residue:
-            ce = {"argument": arg, "h_D": value, "modulus": modulus, "residue": residue}
-            return _finish("congruence-scan", params, ce, t0)
-        arg += step
-    return _finish("congruence-scan", params, None, t0)
+    scan = (
+        {"argument": arg, "h_D": value, "modulus": modulus, "residue": residue}
+        for arg in range(first, max_n + 1, step)
+        if (value := fibonacci(arg)) % modulus != residue
+    )
+    return _report("congruence-scan", params, scan)
 
 
 # ---------------------------------------------------------------------------

@@ -417,17 +417,11 @@ def gf_of_class(c: ConstraintClass) -> RationalGF:
 
     one = m(1)
     xyq = m(1, 1, 1, 1)
-    kind = c.kind
-    if kind == "any":
-        return RationalGF(xyq, one - m(1, 1, 0, 1) - m(1, 0, 1, 1))
-    if kind == "distinct":
-        return RationalGF(xyq, one - m(1, 1, 0, 1) - m(1, 1, 1, 2))
-    if kind == "odd":
-        return RationalGF(xyq, one - m(1, 0, 1, 1) - m(1, 2, 0, 2))
-    d = c.d
-    if kind == "ddistinct":
+    # ``any`` is ``ddistinct`` with d = 0; ``distinct`` and ``odd`` are d = 1
+    kind, d = c.kind, 0 if c.kind == "any" else c.d or 1
+    if kind in ("any", "distinct", "ddistinct"):
         return RationalGF(xyq, one - m(1, 1, 0, 1) - m(1, d, 1, d + 1))
-    if kind == "modone":
+    if kind in ("odd", "modone"):
         return RationalGF(xyq, one - m(1, 0, 1, 1) - m(1, d + 1, 0, d + 1))
     # gclass
     num = xyq * (one - m(1, 0, 1, 1) + m(1, d + 1, 0, d + 1))

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -306,17 +307,19 @@ def test_criterion_11_fibonacci_propositions():
 def test_criterion_12_verify_all_exit_zero():
     from conftest import subprocess_env
 
+    env = subprocess_env()
+    env.pop("HOOKCOMB_QBOUND_DEFAULT", None)  # the transcript is of the default depths
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "hookcomb", "verify", "all"],
         capture_output=True,
         text=True,
-        env=subprocess_env(),
+        env=env,
     )
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    passes = [line for line in lines if line.startswith("[PASS]")]
-    assert len(passes) >= 10
+    transcript = (Path(__file__).parent / "data" / "verify_all.txt").read_text()
+    assert proc.stdout == transcript, proc.stdout
+    passes = [line for line in proc.stdout.splitlines() if line.startswith("[PASS]")]
     assert elapsed < 60.0, f"verify all took {elapsed:.1f}s"
     _ok(f"criterion 12: 'verify all' exits 0 with {len(passes)} passing checks in {elapsed:.1f}s")

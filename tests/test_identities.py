@@ -254,6 +254,10 @@ def test_report_fail_needs_counterexample():
         TheoremReport("x", {}, "fail")
     with pytest.raises(ValueError):
         TheoremReport("x", {}, "pass", counterexample={"n": 1})
+    with pytest.raises(ValueError):
+        TheoremReport("x", {}, "maybe")
+    with pytest.raises(ValueError):
+        TheoremReport("x", {}, "maybe", counterexample={"n": 1})
 
 
 def test_reports_deterministic():
@@ -333,12 +337,61 @@ def test_run_checks_d_chain_expands():
         (scan_congruence, {"step": 0, "offset": 0, "modulus": 2, "residue": 0}),
         (scan_congruence, {"step": 3, "offset": 0, "modulus": 2, "residue": 0, "max_n": 0}),
         (scan_congruence, {"step": 6, "offset": 9, "modulus": 2, "residue": 0, "max_n": 8}),
+        (scan_congruence, {"step": 3, "offset": 0, "modulus": 0, "residue": 0}),
     ],
     ids=lambda v: getattr(v, "__name__", None) or ",".join(f"{k}={x}" for k, x in v.items()),
 )
 def test_checks_reject_empty_ranges(check, kwargs):
     with pytest.raises(ValueError):
         check(**kwargs)
+
+
+def test_gf_all_rejects_an_empty_range_before_scanning(monkeypatch):
+    def no_work(c):
+        raise AssertionError("scan work started")
+
+    monkeypatch.setattr(identities, "gf_of_class", no_work)
+    with pytest.raises(ValueError):
+        identities.verify_gf_all(qbound=0)
+
+
+def test_report_takes_the_first_counterexample_only():
+    def scan():
+        yield {"n": 3}
+        raise AssertionError("scanned past the first counterexample")
+
+    report = identities._report("x", {"max_n": 9}, scan())
+    assert report.status == "fail" and report.counterexample == {"n": 3}
+    assert identities._report("x", {"max_n": 9}, iter(())).passed
+
+
+def test_disagreement_names_the_first_disagreeing_route():
+    routes = {"a": 5, "b": 6, "c": 7}
+    assert list(identities._disagreement({"n": 4}, "expected", 5, routes)) == [
+        {"n": 4, "route": "b", "got": 6, "expected": 5}
+    ]
+    assert list(identities._disagreement({"n": 4}, "expected", 5, {"a": 5})) == []
+
+
+@pytest.mark.parametrize(
+    "check, kwargs, got",
+    [
+        (verify_euler_analogue, {"max_n": 8, "enum_limit": 8}, 5 + 1),
+        (verify_powers_of_two, {"max_n": 8}, 16 + 1),
+        (verify_d_chain, {"d": 1, "max_n": 8}, 5 + 1),
+    ],
+    ids=["euler-analogue", "powers-of-two", "d-chain"],
+)
+def test_counterexample_names_the_automaton_route(check, kwargs, got, monkeypatch):
+    def off_by_one_at_5(n, c):
+        return count_by_perimeter(n, c) + (n == 5)
+
+    monkeypatch.setattr(identities, "count_by_perimeter", off_by_one_at_5)
+    report = check(**kwargs)
+    assert not report.passed
+    ce = report.counterexample
+    assert (ce["n"], ce["got"]) == (5, got)
+    assert ce["route"].startswith("automaton "), ce
 
 
 def test_zero_enum_limit_still_compares():
