@@ -10,10 +10,15 @@ Where several routes compute one value, :func:`_disagreement` names the
 first route that got it wrong.  Checks never raise on a mathematical
 mismatch, only on invalid parameters, and those raise when the check is
 called, before any scan work starts.
+
+:func:`run_checks` runs several checks at once in up to one worker process
+per usable CPU, each with its own perimeter table; a report's
+``elapsed_ms`` is its check's own time inside its worker.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -829,11 +834,34 @@ CHECKS: dict[str, Callable[..., TheoremReport]] = {
 
 _D_CHAIN_DEFAULT_RANGE = (1, 2, 3, 4, 5)
 
+# The slowest reports of ``verify all`` at their default depths, slowest
+# first (d-chain's cost rises as d falls); a pool starts these before the
+# rest, so that no long job starts last.
+_LONGEST_FIRST = ("d-chain", "powers-of-two", "franklin")
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
 
 def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     """Run one named check, or all of them; reports sorted by check id
     (and gap parameter).  Unknown ids raise KeyError; overrides are passed
-    through only to checks that take them."""
+    through only to checks that take them.
+
+    Each check, and d-chain once per gap parameter, is one job.  With more
+    than one job and more than one usable CPU, the jobs run in a pool of
+    worker processes, one per CPU and no more than there are jobs, slowest
+    first; otherwise they run one after another in this process.  Results
+    are read back in report order, so the exception a caller sees is the
+    one that running the jobs in turn would raise; the jobs not yet started
+    are then cancelled.  ``elapsed_ms`` is each check's own time in its
+    worker, so the reports' sum can exceed the wall time.
+    """
     import inspect
 
     if check_id == "all":
@@ -842,17 +870,38 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
         ids = [check_id]
     else:
         raise KeyError(check_id)
-    reports: list[TheoremReport] = []
+    jobs: list[tuple[str, dict]] = []
     for cid in ids:
-        fn = CHECKS[cid]
-        accepted = set(inspect.signature(fn).parameters)
+        accepted = set(inspect.signature(CHECKS[cid]).parameters)
         kwargs = {k: v for k, v in overrides.items() if k in accepted and v is not None}
         if cid == "d-chain":
             ds = [kwargs.pop("d")] if "d" in kwargs else list(_D_CHAIN_DEFAULT_RANGE)
-            for d in ds:
-                reports.append(fn(d=d, **kwargs))
+            jobs.extend((cid, {"d": d, **kwargs}) for d in ds)
         else:
             kwargs.pop("d", None)
-            reports.append(fn(**kwargs))
+            jobs.append((cid, kwargs))
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        # imported here, not at the top: it costs every import of the
+        # package about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
+        def slowest_first(i: int) -> tuple[int, int]:
+            cid, kwargs = jobs[i]
+            rank = _LONGEST_FIRST.index(cid) if cid in _LONGEST_FIRST else len(_LONGEST_FIRST)
+            return rank, kwargs.get("d", 0)
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [None] * len(jobs)
+            for i in sorted(range(len(jobs)), key=slowest_first):
+                cid, kwargs = jobs[i]
+                futures[i] = pool.submit(CHECKS[cid], **kwargs)
+            try:
+                reports = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    else:
+        reports = [CHECKS[cid](**kwargs) for cid, kwargs in jobs]
     reports.sort(key=lambda r: (r.check_id, r.params.get("d", 0)))
     return reports

@@ -1,4 +1,5 @@
 import json
+import runpy
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from hookcomb.cli import (
     parse_range,
     partitions_from_json,
 )
+from hookcomb import identities
 from hookcomb.identities import CHECKS, TheoremReport
 from hookcomb.partitions import DISTINCT, UNRESTRICTED, d_distinct, g_class
 
@@ -242,6 +244,20 @@ def test_verify_empty_range_exits_2(capsys, argv):
     assert code == 2
     assert "PASS" not in out
     assert "must be at least" in err
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_all_reports_the_first_error_in_report_order(cpus, capsys, monkeypatch):
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: cpus)
+    code, out, err = run(capsys, "verify", "all", "--max-n", "0")
+    assert (code, out, err) == (2, "", "error: max_n must be at least 6, got 0\n")
+
+
+def test_main_module_runs_nothing_when_imported_by_a_worker(capsys):
+    # spawn and forkserver workers import the parent's main module under
+    # this name; the CLI must not run there
+    runpy.run_module("hookcomb.__main__", run_name="__mp_main__")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):

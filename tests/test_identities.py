@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -312,6 +313,65 @@ def test_run_checks_registry():
 def test_run_checks_d_chain_expands():
     reports = run_checks("d-chain", max_n=8)
     assert [r.params["d"] for r in reports] == [1, 2, 3, 4, 5]
+
+
+SMALL = {"max_n": 8, "qbound": 6, "max_size": 12, "enum_limit": 8}
+
+
+def _without_elapsed(reports):
+    return [{k: v for k, v in r.as_dict().items() if k != "elapsed_ms"} for r in reports]
+
+
+class _NoExecutor:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("built a process pool")
+
+
+def test_pool_changes_no_report(monkeypatch):
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)
+    pooled = run_checks("all", **SMALL)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoExecutor)
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 1)
+    serial = run_checks("all", **SMALL)
+    assert len(serial) == 16
+    assert _without_elapsed(pooled) == _without_elapsed(serial)
+
+
+@pytest.mark.parametrize(
+    "check_id, kwargs", [("fibonacci", {}), ("d-chain", {"d": 3})], ids=["fibonacci", "d-chain-d3"]
+)
+def test_single_job_builds_no_pool(check_id, kwargs, monkeypatch):
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoExecutor)
+    (report,) = run_checks(check_id, **kwargs)
+    assert report.passed
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(identities.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert identities._usable_cpus() == 1
+    monkeypatch.delattr(identities.os, "sched_getaffinity")
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: None)
+    assert identities._usable_cpus() == 1
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: 3)
+    assert identities._usable_cpus() == 3
+
+
+@pytest.mark.parametrize(
+    "overrides, error, message",
+    [
+        # congruences comes before d-chain in report order, and needs 6
+        ({"max_n": 0}, ValueError, "max_n must be at least 6, got 0"),
+        ({"d": 0}, InvalidD, "d must be a positive integer"),
+    ],
+    ids=["max-n-0", "d-0"],
+)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_checks_raises_what_the_serial_order_raises(cpus, overrides, error, message, monkeypatch):
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ValueError) as info:
+        run_checks("all", **overrides)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize(
