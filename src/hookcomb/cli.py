@@ -139,20 +139,26 @@ def _unlimited_int_digits():
 def _cmd_enumerate(args) -> int:
     if (total := count_by_perimeter(args.perimeter, args.class_spec)) > ENUMERATE_OUTPUT_LIMIT:
         raise ValueError(f"{total} partitions to list, more than {ENUMERATE_OUTPUT_LIMIT}; use count")
-    parts_list = list(enumerate_by_perimeter(args.perimeter, args.class_spec))
+    listed = enumerate_by_perimeter(args.perimeter, args.class_spec)
     if args.parts is not None:
-        parts_list = [p for p in parts_list if p.length == args.parts]
+        listed = (p for p in listed if p.length == args.parts)
     if args.largest is not None:
-        parts_list = [p for p in parts_list if p.parts[0] == args.largest]
+        listed = (p for p in listed if p.parts[0] == args.largest)
     if args.rank is not None:
-        parts_list = [p for p in parts_list if p.parts[0] - p.length == args.rank]
+        listed = (p for p in listed if p.parts[0] - p.length == args.rank)
+    out = sys.stdout
     if args.format == "json":
-        print(json.dumps([list(p.parts) for p in parts_list]))
+        # the bytes of json.dumps on the whole list, one element at a time
+        out.write("[")
+        for i, p in enumerate(listed):
+            out.write(f"{', ' if i else ''}[{', '.join(map(str, p.parts))}]")
+        out.write("]\n")
     elif args.format == "csv":
-        print(_csv_out(["parts"], [[partition_text(p)] for p in parts_list]), end="")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["parts"])
+        writer.writerows([partition_text(p)] for p in listed)
     else:
-        for p in parts_list:
-            print(partition_text(p))
+        out.writelines(f"{partition_text(p)}\n" for p in listed)
     return 0
 
 

@@ -16,7 +16,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, compress, islice, zip_longest
 from typing import Iterator
 
-from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton
+from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton, _unchecked
 
 
 class InvalidKeyForClass(ValueError):
@@ -165,9 +165,11 @@ def enumerate_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> Iterato
         cell[0] = tuple((x - k, node(ch[k], x - k, left - 1)) for k in range(x) if ch[k] & row[x - k])
         return cell[0]
 
+    # outputs skip validation: n >= 1, each first part a is in 1..n - 1 and
+    # each next part is x - k with 0 <= k < x, so in 1..x for the part x before it
     last = _union((1 << len(aut.on_n)) - 1, aut.before_n)  # where the terminal N can be read
     if reach[0][n] & last:
-        yield Partition((n,))
+        yield _unchecked((n,))
     for a in range(n - 1, 0, -1):
         left = n - a  # parts still to place after the first
         parts, pending = [a], [iter(nexts(node(last, a, left)))]
@@ -175,7 +177,7 @@ def enumerate_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> Iterato
             if len(pending) == left:
                 prefix = tuple(parts)
                 for y, _ in pending.pop():
-                    yield Partition(prefix + (y,))
+                    yield _unchecked(prefix + (y,))
                 parts.pop()
                 continue
             for y, cell in pending[-1]:
@@ -307,8 +309,9 @@ def enumerate_by_size(max_size: int, distinct_only: bool = False) -> Iterator[Pa
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     for n in range(1, max_size + 1):
+        # each part is in 1..the part before it (or n): valid by construction
         for parts in partitions_of_size(n, distinct_only):
-            yield Partition(parts)
+            yield _unchecked(parts)
 
 
 def q_eo(r: int, n: int) -> tuple[int, int]:

@@ -5,6 +5,11 @@ The central statistic here is the *perimeter* ``parts[0] + len(parts) - 1``,
 which equals the largest hook length of the Young diagram (the hook of the
 top-left cell runs along the whole first row and first column).
 
+:class:`Partition` and :func:`make_partition` validate what they are given.
+The library's own enumerators and :func:`conjugate` build parts that are
+valid by construction and wrap them with :func:`_unchecked`, which skips
+that check; it is private because its caller must guarantee validity.
+
 Each constraint class also has a minimal automaton on its boundary words
 (:class:`WordAutomaton`), the one representation the counting engine works
 from; :func:`parts_are_member` stays a separate predicate written from the
@@ -59,13 +64,16 @@ def _validate_parts(parts: tuple[int, ...]) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A non-empty weakly decreasing tuple of positive integers.
 
     Construct through :func:`make_partition` for friendly coercion; direct
-    construction also validates.  Parts beyond about 10**6 are not rejected
-    but are outside the supported envelope of the counting routines.
+    construction also validates.  The library's enumerators
+    (``enumerate_by_perimeter``, ``enumerate_by_size``) and :func:`conjugate`
+    build parts that are valid by construction and skip the check.  Parts
+    beyond about 10**6 are not rejected but are outside the supported
+    envelope of the counting routines.
     """
 
     parts: tuple[int, ...]
@@ -97,6 +105,14 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({', '.join(map(str, self.parts))})"
+
+
+def _unchecked(parts: tuple[int, ...]) -> Partition:
+    """The :class:`Partition` of ``parts``, without ``__init__`` and without
+    validation: the caller guarantees that ``parts`` is a valid tuple."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "parts", parts)
+    return p
 
 
 def make_partition(parts: Sequence[int] | Iterable[int]) -> Partition:
@@ -298,7 +314,9 @@ def conjugate(p: Partition) -> Partition:
             else:
                 break
         out.append(count)
-    return Partition(tuple(out))
+    # column heights of a diagram: positive (column j < parts[0] has row 0)
+    # and weakly decreasing (a cell's left neighbour is in the diagram)
+    return _unchecked(tuple(out))
 
 
 def hook_lengths(p: Partition) -> list[list[int]]:

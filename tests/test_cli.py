@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import runpy
 import sys
@@ -13,7 +15,8 @@ from hookcomb.cli import (
 )
 from hookcomb import identities
 from hookcomb.identities import CHECKS, TheoremReport
-from hookcomb.partitions import DISTINCT, UNRESTRICTED, d_distinct, g_class
+from hookcomb.counting import enumerate_by_perimeter
+from hookcomb.partitions import DISTINCT, UNRESTRICTED, d_distinct, g_class, make_partition
 
 
 def run(capsys, *argv):
@@ -85,6 +88,64 @@ def test_enumerate_json_roundtrip(capsys):
     parsed = partitions_from_json(out)
     code2, text_out, _ = run(capsys, "enumerate", "--perimeter", "8", "--class", "odd")
     assert [",".join(map(str, p.parts)) for p in parsed] == text_out.splitlines()
+
+
+def reference_listing(fmt, perimeter, spec, parts=None, largest=None, rank=None):
+    """The listing rendered whole, from the filtered list, as the
+    streaming writer must reproduce it byte for byte."""
+    listed = [
+        p
+        for p in enumerate_by_perimeter(perimeter, parse_class_spec(spec))
+        if (parts is None or p.length == parts)
+        and (largest is None or p.parts[0] == largest)
+        and (rank is None or p.parts[0] - p.length == rank)
+    ]
+    if fmt == "json":
+        return json.dumps([list(p.parts) for p in listed]) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([["parts"]] + [[",".join(map(str, p))] for p in listed])
+        return buf.getvalue()
+    return "".join(",".join(map(str, p)) + "\n" for p in listed)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "perimeter,spec,filters",
+    [
+        (1, "any", {}),
+        (11, "any", {}),
+        (12, "gclass:2", {}),
+        (10, "any", {"parts": 4}),
+        (10, "any", {"largest": 5, "rank": 1}),
+        (12, "distinct", {"rank": 2}),
+        (9, "odd", {"parts": 99}),  # nothing passes the filter
+    ],
+)
+def test_enumerate_streams_the_whole_listing_byte_for_byte(capsys, fmt, perimeter, spec, filters):
+    argv = ["enumerate", "--perimeter", str(perimeter), "--class", spec, "--format", fmt]
+    for name, value in filters.items():
+        argv += [f"--{name}", str(value)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == reference_listing(fmt, perimeter, spec, **filters)
+
+
+@pytest.mark.parametrize(
+    "fmt,head", [("text", "3,1\n2,2\n"), ("csv", 'parts\n"3,1"\n"2,2"\n'), ("json", "[[3, 1], [2, 2]")]
+)
+def test_enumerate_writes_each_output_before_the_next_is_built(capsys, monkeypatch, fmt, head):
+    from hookcomb import cli
+
+    def two_then_fail(n, c):
+        yield make_partition([3, 1])
+        yield make_partition([2, 2])
+        raise ValueError("walk stopped")
+
+    monkeypatch.setattr(cli, "enumerate_by_perimeter", two_then_fail)
+    code, out, err = run(capsys, "enumerate", "--perimeter", "4", "--parts", "2", "--format", fmt)
+    assert code == 2 and "walk stopped" in err
+    assert out == head
 
 
 def test_enumerate_usage_error(capsys):

@@ -187,6 +187,11 @@ def test_fibonacci_classes_at_perimeter_1e5(c):
     assert count_by_perimeter(10**5, c) == fibonacci(10**5)
 
 
+@pytest.mark.parametrize("c", [DISTINCT, d_distinct(1)], ids=str)
+def test_fibonacci_classes_at_perimeter_1e6(c):
+    assert count_by_perimeter(10**6, c) == fibonacci(10**6)
+
+
 def test_parity_split_at_perimeter_1e5_in_bounded_memory():
     n = 10**5
     tracemalloc.start()

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +24,8 @@ from hookcomb import (
     mod_one,
     rank,
 )
-from hookcomb.partitions import ConstraintClass
+from hookcomb.identities import _all_classes
+from hookcomb.partitions import ConstraintClass, _validate_parts
 
 
 def all_partitions_upto(max_size, distinct_only=False):
@@ -80,6 +85,79 @@ def test_validation_matches_manual_check(values):
     else:
         with pytest.raises((EmptyPartition, NonPositivePart, NotWeaklyDecreasing)):
             make_partition(values)
+
+
+def test_partition_is_slotted_and_frozen():
+    p = make_partition([3, 1])
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.parts = (4,)
+    assert p.parts == (3, 1)
+
+
+def test_direct_construction_still_validates():
+    with pytest.raises(NotWeaklyDecreasing) as exc:
+        Partition((1, 2))
+    assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_partition_pickles_round_trip(protocol):
+    for p in (make_partition([1]), make_partition([5, 3, 3, 1])):
+        clone = pickle.loads(pickle.dumps(p, protocol=protocol))
+        assert type(clone) is Partition
+        assert clone == p and hash(clone) == hash(p)
+        assert clone.parts == p.parts
+
+
+def test_partition_copy_asdict_and_replace():
+    p = make_partition([4, 2, 2])
+    clone = copy.deepcopy(p)
+    assert clone == p and clone is not p
+    assert dataclasses.asdict(p) == {"parts": (4, 2, 2)}
+    assert dataclasses.replace(p, parts=(5, 1)) == make_partition([5, 1])
+    with pytest.raises(NotWeaklyDecreasing):
+        dataclasses.replace(p, parts=(1, 5))
+
+
+# ---------------------------------------------------------------------------
+# outputs built by the library skip validation: check they are valid anyway
+
+
+def assert_valid_by_construction(p):
+    _validate_parts(p.parts)  # raises on an invalid tuple
+    assert type(p) is Partition and type(p.parts) is tuple
+    checked = make_partition(p.parts)
+    assert p == checked and hash(p) == hash(checked)
+
+
+@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+def test_enumerate_by_perimeter_outputs_are_valid(c):
+    for n in range(1, 13):
+        for p in enumerate_by_perimeter(n, c):
+            assert_valid_by_construction(p)
+
+
+@pytest.mark.parametrize("distinct_only", [False, True])
+def test_enumerate_by_size_outputs_are_valid(distinct_only):
+    for p in enumerate_by_size(14, distinct_only):
+        assert_valid_by_construction(p)
+
+
+def test_conjugate_outputs_are_valid():
+    for p in all_partitions_by_perimeter_upto(10):
+        assert_valid_by_construction(conjugate(p))
+
+
+@given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=12))
+def test_conjugate_property(values):
+    p = make_partition(sorted(values, reverse=True))
+    q = conjugate(p)
+    assert_valid_by_construction(q)
+    # independent oracle: column j holds the rows longer than j
+    assert q.parts == tuple(sum(x > j for x in p.parts) for j in range(p.parts[0]))
+    assert conjugate(q) == p
+    assert (q.size, q.perimeter, rank(q)) == (p.size, p.perimeter, -rank(p))
 
 
 # ---------------------------------------------------------------------------
