@@ -2,8 +2,8 @@
 verification suite.
 
 Exit codes are a fixed contract: 0 on success (all checks passing), 1 when a
-verification check fails, 2 on a usage error.  Output is deterministic;
-timings are emitted only in the JSON report format.
+verification check fails, 2 on a usage error, 141 when stdout closes early.
+Output is deterministic; timings are emitted only in the JSON report format.
 """
 
 from __future__ import annotations
@@ -40,24 +40,27 @@ from .identities import CHECKS, run_checks
 DEFAULT_QBOUND = 15
 _ENV_QBOUND = "HOOKCOMB_QBOUND_DEFAULT"
 ENUMERATE_OUTPUT_LIMIT = 1 << 20  # all partitions of perimeter 21; enumerate refuses more
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal stops
 
 
 class TableColumnsDisagree(ArithmeticError):
     """The equinumerous columns of a worked table have different lengths."""
 
 
+class BadArgument(ValueError, argparse.ArgumentTypeError):
+    """A command-line value that does not parse; argparse shows its message."""
+
+
 def parse_class_spec(text: str) -> ConstraintClass:
-    """Grammar: any | distinct | odd | ddistinct:<d> | modone:<d> | gclass:<d>."""
-    plain = {"any": UNRESTRICTED, "distinct": DISTINCT, "odd": ODD}
-    if text in plain:
-        return plain[text]
-    factories = {"ddistinct": d_distinct, "modone": mod_one, "gclass": g_class}
+    """``name`` or ``name:d``, as ``str`` prints a :class:`ConstraintClass`;
+    the class itself rejects unknown names and bad parameters."""
     name, sep, arg = text.partition(":")
-    if sep and name in factories:
-        if not arg.isdigit() or int(arg) < 1:
-            raise ValueError(f"class parameter must be a positive integer, got {arg!r}")
-        return factories[name](int(arg))
-    raise ValueError(f"unknown class spec {text!r}")
+    try:
+        if sep and not arg.isdigit():
+            raise ValueError(f"the parameter must be a positive integer, got {arg!r}")
+        return ConstraintClass(name, int(arg)) if sep else ConstraintClass(name)
+    except ValueError as exc:
+        raise BadArgument(f"bad class spec {text!r}: {exc}") from None
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -66,7 +69,7 @@ def parse_range(text: str) -> tuple[int, int]:
     if not sep:
         hi = lo
     if not lo.isdigit() or not hi.isdigit() or int(lo) < 1 or int(hi) < int(lo):
-        raise ValueError(f"bad perimeter range {text!r}")
+        raise BadArgument(f"bad perimeter range {text!r}")
     return int(lo), int(hi)
 
 
@@ -77,11 +80,11 @@ def parse_eval_spec(text: str) -> dict[str, int]:
         name, sep, val = piece.partition("=")
         name = name.strip()
         if not sep or name not in ("x", "y", "q"):
-            raise ValueError(f"bad eval assignment {piece!r}")
+            raise BadArgument(f"bad eval assignment {piece!r}")
         try:
             out[name] = int(val)
         except ValueError:
-            raise ValueError(f"eval value for {name!r} must be an integer") from None
+            raise BadArgument(f"eval value for {name!r} must be an integer") from None
     return out
 
 
@@ -172,7 +175,7 @@ def _cmd_count(args) -> int:
         row: dict = {"perimeter": n, "count": count_by_perimeter(n, args.class_spec)}
         if args.split_parity:
             even, odd = count_parity_split(n)
-            row.update({"even": even, "odd": odd, "e": excess_e(n)})
+            row.update(even=even, odd=odd, e=excess_e(n))
         rows.append(row)
     keys = list(rows[0])
     with _unlimited_int_digits():
@@ -257,13 +260,14 @@ def _table_rows(table_id: int) -> tuple[list[str], list[dict]]:
         header = ["distinct (perimeter 7, rank 2)", "odd (perimeter 7, 3 parts)"]
         groups = [(7, [left, right])]
     elif table_id == 4:
-        header = ["ddistinct:2", "modone:2", "gclass:2"]
+        classes = (d_distinct(2), mod_one(2), g_class(2))
+        header = [str(c) for c in classes]
         groups = []
         for n in range(1, 8):
-            col1 = list(enumerate_by_perimeter(n, d_distinct(2)))
+            col1 = list(enumerate_by_perimeter(n, classes[0]))
             # the matched columns run smallest-first against col1 largest-first
-            col2 = list(enumerate_by_perimeter(n, mod_one(2)))[::-1]
-            col3 = list(enumerate_by_perimeter(n, g_class(2)))[::-1]
+            col2 = list(enumerate_by_perimeter(n, classes[1]))[::-1]
+            col3 = list(enumerate_by_perimeter(n, classes[2]))[::-1]
             groups.append((n, [col1, col2, col3]))
     else:
         raise ValueError(f"no table {table_id}; choose 1, 2, 3 or 4")
@@ -375,7 +379,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: drop what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

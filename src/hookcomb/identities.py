@@ -133,8 +133,8 @@ def _disagreement(case: dict, label: str, expected: object, routes: dict) -> Ite
 
 
 def _brute_series(variables: tuple[str, ...], terms: Iterable[tuple], qbound: int) -> MultiPoly:
-    """Brute-force route for a series: the sum of the (exponents,
-    coefficient) terms, truncated at q-degree ``qbound``."""
+    """The sum of the (exponents, coefficient) terms, truncated at q-degree
+    ``qbound``: how the brute-force and pentagonal routes build a series."""
     acc: dict[tuple[int, ...], int] = {}
     for exps, coeff in terms:
         acc[exps] = acc.get(exps, 0) + coeff
@@ -203,19 +203,10 @@ def _franklin_parts(parts: tuple[int, ...]) -> tuple[int, ...] | None:
 
 
 def _generalized_pentagonals(limit: int) -> list[tuple[int, int, int]]:
-    """(size, k, expected largest-part-plus-length) for sizes <= limit."""
-    out = []
-    k = 1
-    while True:
-        a = k * (3 * k - 1) // 2
-        b = k * (3 * k + 1) // 2
-        if a > limit:
-            break
-        out.append((a, k, 3 * k - 1))
-        if b <= limit:
-            out.append((b, k, 3 * k))
-        k += 1
-    return sorted(out)
+    """(size, k, expected largest-part-plus-length) for sizes <= limit, in
+    increasing size: k(3k - 1)/2 with 3k - 1 and k(3k + 1)/2 with 3k."""
+    out = ((k * (3 * k - 1) // 2 + j * k, k, 3 * k - 1 + j) for k in range(1, limit + 1) for j in (0, 1))
+    return sorted(t for t in out if t[0] <= limit)
 
 
 def _scan_franklin(max_size: int) -> Iterator[dict]:
@@ -267,8 +258,8 @@ def verify_franklin(max_size: int = 40) -> TheoremReport:
 def _scan_euler_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
         routes = {
-            "automaton ddistinct(1)": count_by_perimeter(n, d_distinct(1)),
-            "automaton modone(1)": count_by_perimeter(n, mod_one(1)),
+            f"automaton {d_distinct(1)}": count_by_perimeter(n, d_distinct(1)),
+            f"automaton {mod_one(1)}": count_by_perimeter(n, mod_one(1)),
         }
         if n <= enum_limit:
             routes["enumeration distinct"] = _brute_count(n, DISTINCT)
@@ -426,7 +417,7 @@ def _block_sequences(budget: int, d: int, kind: str):
 
 
 def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
-    """Partitions of perimeter ``n`` in the gclass(``d``) family, generated
+    """Partitions of perimeter ``n`` in the class ``g_class(d)``, generated
     from block sequences instead of by filtering."""
     out: set[tuple[int, ...]] = set()
     budget = n - 1  # word length n + 1, minus the initial E and terminal N
@@ -442,15 +433,15 @@ def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
         g_set = set(_brute_members(n, gc))
         grammar_set = gclass_by_block_grammar(n, d)
         routes = {
-            f"enumeration modone({d})": _brute_count(n, mo),
-            f"enumeration gclass({d})": len(g_set),
-            f"automaton ddistinct({d})": count_by_perimeter(n, dd),
-            f"block grammar gclass({d})": len(grammar_set),
+            f"enumeration {mo}": _brute_count(n, mo),
+            f"enumeration {gc}": len(g_set),
+            f"automaton {dd}": count_by_perimeter(n, dd),
+            f"block grammar {gc}": len(grammar_set),
         }
         yield from _disagreement({"n": n, "d": d}, "d_distinct", _brute_count(n, dd), routes)
         if grammar_set != g_set:
             sample = [list(p) for p in sorted(grammar_set ^ g_set)[:3]]
-            yield {"n": n, "d": d, "route": f"block grammar gclass({d})", "set_difference_sample": sample}
+            yield {"n": n, "d": d, "route": f"block grammar {gc}", "set_difference_sample": sample}
 
 
 def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
@@ -537,17 +528,10 @@ def _series_andrews_franklin(qbound: int) -> MultiPoly:
 
 
 def _series_andrews_rhs(qbound: int) -> MultiPoly:
-    """1 + sum_{n>=1} (-1)^n (q^(n(3n-1)/2) y^(3n-1) + q^(n(3n+1)/2) y^(3n))."""
-    V = ("y", "q")
-    total = MultiPoly.constant(1, V, qbound)
-    n = 1
-    while n * (3 * n - 1) // 2 <= qbound:
-        sign = (-1) ** n
-        total = total + MultiPoly.monomial(V, sign, {"y": 3 * n - 1, "q": n * (3 * n - 1) // 2}, qbound)
-        if n * (3 * n + 1) // 2 <= qbound:
-            total = total + MultiPoly.monomial(V, sign, {"y": 3 * n, "q": n * (3 * n + 1) // 2}, qbound)
-        n += 1
-    return total
+    """1 + sum_{n>=1} (-1)^n (q^(n(3n-1)/2) y^(3n-1) + q^(n(3n+1)/2) y^(3n)),
+    one term per generalized pentagonal number."""
+    terms = (((y_exp, size), (-1) ** k) for size, k, y_exp in _generalized_pentagonals(qbound))
+    return _brute_series(("y", "q"), chain([((0, 0), 1)], terms), qbound)
 
 
 def _scan_andrews_identity(qbound: int) -> Iterator[dict]:
@@ -743,13 +727,21 @@ _CONGRUENCE_FAMILIES = (
     ("h_DO(6n) == h_DE(6n) == 0 mod 4", 6, 0, "parity", 4, 0),
     ("h_DO(6n+3) == h_DE(6n+3) == 1 mod 8", 6, 3, "parity", 8, 1),
 )
+
+
+def _congruence_arguments(step: int, offset: int, max_n: int) -> range:
+    """The values of step * n + offset over n >= 0 from the least positive
+    one up to ``max_n``: the arguments at which a congruence is tested."""
+    return range(offset if offset > 0 else (offset % step or step), max_n + 1, step)
+
+
 # the depth at which every family has been tested at least once
-_CONGRUENCE_MIN_N = max(offset or step for _, step, offset, *_ in _CONGRUENCE_FAMILIES)
+_CONGRUENCE_MIN_N = max(_congruence_arguments(step, offset, 0).start for _, step, offset, *_ in _CONGRUENCE_FAMILIES)
 
 
 def _scan_congruences(max_n: int, enum_limit: int) -> Iterator[dict]:
     for label, step, offset, which, modulus, residue in _CONGRUENCE_FAMILIES:
-        for arg in range(offset or step, max_n + 1, step):
+        for arg in _congruence_arguments(step, offset, max_n):
             case = {"family": label, "argument": arg, "modulus": modulus, "residue": residue}
             if which == "total":
                 value = fibonacci(arg)
@@ -799,15 +791,19 @@ def scan_congruence(
     step: int, offset: int, modulus: int, residue: int, max_n: int = 60
 ) -> TheoremReport:
     """Generic scanner: does h_D(step * n + offset) == residue (mod modulus)
-    hold for every argument up to max_n?  Plumbing for exploration; nothing
-    beyond the seven stated congruences is asserted anywhere."""
+    hold at every argument step * n + offset (n >= 0) from the least
+    positive one up to max_n?  ``residue`` must lie in 0..modulus - 1.
+    Plumbing for exploration; nothing beyond the seven stated congruences
+    is asserted anywhere."""
     _require(1, step=step, modulus=modulus)
-    first = offset if offset >= 1 else step
-    _require(first, max_n=max_n)
+    if not 0 <= residue < modulus:
+        raise ValueError(f"residue must lie in 0..{modulus - 1}, got {residue}")
+    args = _congruence_arguments(step, offset, max_n)
+    _require(args.start, max_n=max_n)
     params = {"step": step, "offset": offset, "modulus": modulus, "residue": residue, "max_n": max_n}
     scan = (
         {"argument": arg, "h_D": value, "modulus": modulus, "residue": residue}
-        for arg in range(first, max_n + 1, step)
+        for arg in args
         if (value := fibonacci(arg)) % modulus != residue
     )
     return _report("congruence-scan", params, scan)
@@ -897,11 +893,8 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
                 cid, kwargs = jobs[i]
                 futures[i] = pool.submit(CHECKS[cid], **kwargs)
             try:
-                reports = [f.result() for f in futures]
+                return [f.result() for f in futures]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
-    else:
-        reports = [CHECKS[cid](**kwargs) for cid, kwargs in jobs]
-    reports.sort(key=lambda r: (r.check_id, r.params.get("d", 0)))
-    return reports
+    return [CHECKS[cid](**kwargs) for cid, kwargs in jobs]

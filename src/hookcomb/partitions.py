@@ -125,8 +125,9 @@ def make_partition(parts: Sequence[int] | Iterable[int]) -> Partition:
     return Partition(tuple(parts))
 
 
-_PARAMETTERLESS_KINDS = ("any", "distinct", "odd")
-_PARAMETERIZED_KINDS = ("ddistinct", "modone", "gclass")
+# kind -> (family, d), with d None where the class takes it as a parameter
+_FAMILIES = {"any": ("gap", 0), "distinct": ("gap", 1), "odd": ("residue", 1),
+             "ddistinct": ("gap", None), "modone": ("residue", None), "gclass": ("gclass", None)}
 
 
 @dataclass(frozen=True)
@@ -144,29 +145,36 @@ class ConstraintClass:
                      trailing 0), the gap bound strict at parts ``== 1``
                      mod ``2d + 1``.
 
-    ``distinct`` and ``ddistinct`` with d=1 select the same partitions, as do
-    ``odd`` and ``modone`` with d=1.
+    Only this class reads ``kind``; the rest of the library reads
+    :attr:`family`, where ``any`` is the gap family at d = 0 and
+    ``distinct`` and ``odd`` are ``ddistinct`` and ``modone`` at d = 1.
     """
 
     kind: str
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _PARAMETTERLESS_KINDS:
+        if self.kind not in _FAMILIES:
+            raise ValueError(f"unknown constraint class {self.kind!r}")
+        if _FAMILIES[self.kind][1] is not None:
             if self.d is not None:
                 raise ValueError(f"class {self.kind!r} takes no parameter")
-        elif self.kind in _PARAMETERIZED_KINDS:
-            if not isinstance(self.d, int) or self.d < 1:
-                raise ValueError(f"class {self.kind!r} needs an integer parameter d >= 1")
-        else:
-            raise ValueError(f"unknown constraint class {self.kind!r}")
+        elif not isinstance(self.d, int) or self.d < 1:
+            raise ValueError(f"class {self.kind!r} needs an integer parameter d >= 1")
 
     def __str__(self) -> str:
         return self.kind if self.d is None else f"{self.kind}:{self.d}"
 
+    @property
+    def family(self) -> tuple[str, int]:
+        """``(family, d)``: the ``"gap"``, ``"residue"`` or ``"gclass"`` rule
+        of the class, and its gap parameter."""
+        family, d = _FAMILIES[self.kind]
+        return family, self.d if d is None else d
+
     @cached_property
     def member(self) -> Callable[[tuple[int, ...]], bool]:
-        """Membership test on a raw parts tuple, resolved from ``kind`` on
+        """Membership test on a raw parts tuple, resolved from the family on
         first use so that per-word calls skip the dispatch."""
         return _member_test(self)
 
@@ -202,20 +210,18 @@ def parts_are_member(parts: tuple[int, ...], c: ConstraintClass) -> bool:
 
     This is the hot path of the brute-force word filter; :func:`is_member`
     is the public wrapper over :class:`Partition`.  The test itself is
-    ``c.member``, chosen by kind once per class.
+    ``c.member``, chosen by family once per class.
     """
     return c.member(parts)
 
 
 def _member_test(c: ConstraintClass) -> Callable[[tuple[int, ...]], bool]:
     """The membership test of class ``c`` on a raw parts tuple, with the
-    class's constants bound.  ``distinct`` is the gap test with d = 1 and
-    ``odd`` the residue test with modulus 2."""
-    kind = c.kind
-    if kind == "any":
-        return lambda parts: True
-    if kind == "distinct" or kind == "ddistinct":
-        d = c.d or 1
+    constants of its family bound."""
+    family, d = c.family
+    if family == "gap":
+        if d == 0:  # every partition: skip the per-part loop
+            return lambda parts: True
 
         def gaps_at_least_d(parts: tuple[int, ...]) -> bool:
             prev = parts[0] + d
@@ -226,8 +232,8 @@ def _member_test(c: ConstraintClass) -> Callable[[tuple[int, ...]], bool]:
             return True
 
         return gaps_at_least_d
-    if kind == "odd" or kind == "modone":
-        m = (c.d or 1) + 1
+    if family == "residue":
+        m = d + 1
 
         def residues_one(parts: tuple[int, ...]) -> bool:
             for x in parts:
@@ -236,11 +242,11 @@ def _member_test(c: ConstraintClass) -> Callable[[tuple[int, ...]], bool]:
             return True
 
         return residues_one
-    # gclass: each part must leave a residue 1 or d + 2 mod 2d + 1, and
-    # the gap to the next part (or to the virtual trailing 0) is at most
+    # residue-and-gap: each part must leave a residue 1 or d + 2 mod 2d + 1,
+    # and the gap to the next part (or to the virtual trailing 0) is at most
     # 2d + 1, strictly less at residue 1; ``low`` is the smallest next part
-    mod = 2 * c.d + 1
-    alt = (c.d + 2) % mod
+    mod = 2 * d + 1
+    alt = (d + 2) % mod
 
     def residues_and_gaps(parts: tuple[int, ...]) -> bool:
         low = 0
@@ -275,17 +281,17 @@ class WordAutomaton:
 
 @lru_cache(maxsize=None)
 def _automaton_of(c: ConstraintClass) -> WordAutomaton:
-    """The minimal word automaton of class ``c``: 1 state for ``any``, d + 1
-    for ``ddistinct:d`` and ``modone:d`` (``distinct`` and ``odd`` are d = 1;
-    ``any`` is ``ddistinct`` with d = 0) and 2d + 2 for ``gclass:d``."""
-    kind, d = c.kind, 0 if c.kind == "any" else c.d or 1
-    if kind in ("any", "distinct", "ddistinct"):
+    """The minimal word automaton of class ``c``: d + 1 states for the gap
+    and residue families (one state at gap d = 0) and 2d + 2 for the
+    residue-and-gap family."""
+    family, d = c.family
+    if family == "gap":
         # state: the E's since the last N, capped at d; an N needs d of them
         return WordAutomaton(d, tuple(min(s + 1, d) for s in range(d + 1)), (-1,) * d + (0,))
-    if kind in ("odd", "modone"):
+    if family == "residue":
         # state: the E count mod d + 1; an N needs residue 1
         return WordAutomaton(1, tuple((s + 1) % (d + 1) for s in range(d + 1)), (-1, 1) + (-1,) * (d - 1))
-    # gclass, residues mod 2d + 1: s = the E's since the last N, plus d if that
+    # residue-and-gap, residues mod 2d + 1: s = the E's since the last N, plus d if that
     # part (or the start) is 1; an N makes a part d + 2 at s = 0, 2d + 1 and 1 at s = d.
     top, states = 2 * d + 1, range(2 * d + 2)
     on_n = tuple(d if s == d else 0 if s in (0, top) else -1 for s in states)

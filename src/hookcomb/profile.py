@@ -77,18 +77,12 @@ class ProfileWord:
 
     @classmethod
     def from_text(cls, text: str) -> "ProfileWord":
-        if text == "":
-            raise EmptyWord("empty word")
         bits = 0
         for i, ch in enumerate(text):
             if ch == "N":
                 bits |= 1 << i
             elif ch != "E":
                 raise InvalidLetter(f"letter at index {i} is {ch!r}, expected 'E' or 'N'", index=i)
-        if text[0] != "E":
-            raise MustStartWithE("a profile word must start with E")
-        if text[-1] != "N":
-            raise MustEndWithN("a profile word must end with N")
         return cls(len(text), bits)
 
     @property
@@ -201,8 +195,8 @@ class BlockDecomposition:
 def decompose_blocks(w: ProfileWord | str, d: int) -> BlockDecomposition:
     """Parse ``w`` with the gap-class block grammar for parameter ``d``.
 
-    Succeeds exactly when the encoded partition lies in the gclass(d)
-    family.  The parse is a single left-to-right pass: the initial block
+    Succeeds exactly when the encoded partition lies in the class
+    ``g_class(d)``.  The parse is a single left-to-right pass: the initial block
     absorbs every N before the first middle E run, and the forced I/II
     alternation then fixes each split (a type II block claims the last N of
     the run preceding its E's).  Raises :class:`NotInClass` with the first
@@ -272,11 +266,12 @@ def blocks_to_word(b: BlockDecomposition, d: int) -> ProfileWord:
 
 def blocks_to_partition(b: BlockDecomposition, d: int) -> Partition:
     """Partition encoded by the block sequence ``b``; always lands in the
-    gclass(``d``) family and round-trips through :func:`decompose_blocks`.
+    class ``g_class(d)`` and round-trips through :func:`decompose_blocks`.
 
-    Raises :class:`BlockWordNotInClass` if the partition fails the gclass
-    membership test, which the block-grammar theorem rules out."""
+    Raises :class:`BlockWordNotInClass` if the partition fails the
+    membership test of that class, which the block-grammar theorem rules
+    out."""
     p = from_profile(blocks_to_word(b, d))
-    if not parts_are_member(p.parts, g_class(d)):
-        raise BlockWordNotInClass(f"blocks {b!r} spell {p!r}, outside gclass:{d}")
+    if not parts_are_member(p.parts, c := g_class(d)):
+        raise BlockWordNotInClass(f"blocks {b!r} spell {p!r}, outside {c}")
     return p

@@ -115,9 +115,6 @@ class MultiPoly:
     def terms(self) -> Mapping[tuple[int, ...], int]:
         return MappingProxyType(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, exponents: Mapping[str, int]) -> int:
         vec = tuple(exponents.get(v, 0) for v in self.variables)
         return self._terms.get(vec, 0)
@@ -128,10 +125,6 @@ class MultiPoly:
         for exps, coeff in self._terms.items():
             layers.setdefault(exps[self._qi], {})[exps] = coeff
         return {j: MultiPoly(self.variables, t, self.qbound) for j, t in layers.items()}
-
-    def max_q_degree(self) -> int:
-        """Largest q-exponent present; -1 for the zero polynomial."""
-        return max((e[self._qi] for e in self._terms), default=-1)
 
     # -- ring operations --------------------------------------------------
 
@@ -417,13 +410,12 @@ def gf_of_class(c: ConstraintClass) -> RationalGF:
 
     one = m(1)
     xyq = m(1, 1, 1, 1)
-    # ``any`` is ``ddistinct`` with d = 0; ``distinct`` and ``odd`` are d = 1
-    kind, d = c.kind, 0 if c.kind == "any" else c.d or 1
-    if kind in ("any", "distinct", "ddistinct"):
+    family, d = c.family
+    if family == "gap":
         return RationalGF(xyq, one - m(1, 1, 0, 1) - m(1, d, 1, d + 1))
-    if kind in ("odd", "modone"):
+    if family == "residue":
         return RationalGF(xyq, one - m(1, 0, 1, 1) - m(1, d + 1, 0, d + 1))
-    # gclass
+    # residue-and-gap
     num = xyq * (one - m(1, 0, 1, 1) + m(1, d + 1, 0, d + 1))
     den = one - m(2, 0, 1, 1) + m(1, 0, 2, 2) - m(1, 2 * d + 1, 1, 2 * d + 2)
     return RationalGF(num, den)

@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import runpy
+import subprocess
 import sys
 
 import pytest
 
 from hookcomb.cli import (
+    EXIT_CLOSED_PIPE,
     main,
     parse_class_spec,
     parse_eval_spec,
@@ -37,6 +39,28 @@ def test_parse_class_spec():
     for bad in ("ddistinct", "ddistinct:0", "gclass:-1", "prime", "distinct:2"):
         with pytest.raises(ValueError):
             parse_class_spec(bad)
+
+
+def test_parse_class_spec_reads_back_every_class_name():
+    for c in identities._all_classes(5):
+        assert parse_class_spec(str(c)) == c
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["count", "--perimeter", "5..2"], "'5..2'"),
+        (["count", "--perimeter", "3", "--class", "prime"], "'prime'"),
+        (["enumerate", "--perimeter", "3", "--class", "ddistinct:0"], "'ddistinct:0'"),
+        (["gf", "--eval", "z=1"], "'z=1'"),
+    ],
+)
+def test_bad_arguments_are_named_on_stderr(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err and "invalid" not in err, err
 
 
 def test_parse_range():
@@ -146,6 +170,22 @@ def test_enumerate_writes_each_output_before_the_next_is_built(capsys, monkeypat
     code, out, err = run(capsys, "enumerate", "--perimeter", "4", "--parts", "2", "--format", fmt)
     assert code == 2 and "walk stopped" in err
     assert out == head
+
+
+def test_enumerate_into_a_closed_pipe_exits_quietly():
+    from conftest import subprocess_env
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hookcomb", "enumerate", "--perimeter", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=subprocess_env(),
+    )
+    assert [proc.stdout.readline() for _ in range(2)] == [b"16\n", b"15,15\n"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE
+    assert err == b""
 
 
 def test_enumerate_usage_error(capsys):

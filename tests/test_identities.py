@@ -295,6 +295,13 @@ def test_scan_congruence_true_and_false():
     assert bad.counterexample["h_D"] == 1
 
 
+def test_scan_congruence_starts_at_the_least_positive_argument():
+    # 3n - 1 at n = 1, 2, 3, ... is 2, 5, 8, ...: h_D(2) = F(2) = 1 is odd
+    report = scan_congruence(step=3, offset=-1, modulus=2, residue=0, max_n=20)
+    assert not report.passed
+    assert report.counterexample["argument"] == 2
+
+
 def test_run_checks_registry():
     reports = run_checks("fibonacci", max_add=6, max_div=12)
     assert len(reports) == 1 and reports[0].passed
@@ -398,6 +405,7 @@ def test_run_checks_raises_what_the_serial_order_raises(cpus, overrides, error, 
         (scan_congruence, {"step": 3, "offset": 0, "modulus": 2, "residue": 0, "max_n": 0}),
         (scan_congruence, {"step": 6, "offset": 9, "modulus": 2, "residue": 0, "max_n": 8}),
         (scan_congruence, {"step": 3, "offset": 0, "modulus": 0, "residue": 0}),
+        (scan_congruence, {"step": 5, "offset": 0, "modulus": 5, "residue": -5}),  # residue outside 0..4
     ],
     ids=lambda v: getattr(v, "__name__", None) or ",".join(f"{k}={x}" for k, x in v.items()),
 )

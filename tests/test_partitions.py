@@ -25,6 +25,7 @@ from hookcomb import (
     rank,
 )
 from hookcomb.identities import _all_classes
+from hookcomb.series import gf_of_class
 from hookcomb.partitions import ConstraintClass, _validate_parts
 
 
@@ -301,6 +302,24 @@ def test_gap_classes_against_definition_oracles(d):
         assert is_member(p, d_distinct(d)) == ddistinct_definition_oracle(p.parts, d)
         assert is_member(p, mod_one(d)) == modone_definition_oracle(p.parts, d)
         assert is_member(p, g_class(d)) == gclass_definition_oracle(p.parts, d)
+
+
+def test_family_resolves_the_aliases():
+    assert UNRESTRICTED.family == ("gap", 0)
+    assert DISTINCT.family == d_distinct(1).family == ("gap", 1)
+    assert ODD.family == mod_one(1).family == ("residue", 1)
+    assert g_class(4).family == ("gclass", 4)
+    with pytest.raises(AttributeError):
+        DISTINCT.family = ("gap", 2)
+
+
+@pytest.mark.parametrize("alias, c", [(DISTINCT, d_distinct(1)), (ODD, mod_one(1))], ids=str)
+def test_d_one_aliases_are_one_class(alias, c):
+    a, b = alias.automaton, c.automaton
+    assert (a.start, a.on_e, a.on_n) == (b.start, b.on_e, b.on_n)
+    assert gf_of_class(alias) == gf_of_class(c)
+    for p in all_partitions_by_perimeter_upto(12):
+        assert is_member(p, alias) == is_member(p, c)
 
 
 def test_member_test_is_bound_lazily_and_pickles():
