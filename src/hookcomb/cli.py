@@ -92,14 +92,6 @@ def partition_text(p: Partition) -> str:
     return ",".join(map(str, p.parts))
 
 
-def partitions_from_json(text: str) -> list[Partition]:
-    """Validator for the JSON listing format: re-parse into partitions."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("expected a JSON array of part arrays")
-    return [make_partition(entry) for entry in data]
-
-
 def _env_qbound() -> int | None:
     """The qbound set by the environment, or None when it is unset or empty."""
     raw = os.environ.get(_ENV_QBOUND)

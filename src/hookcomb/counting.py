@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import accumulate, compress, islice, zip_longest
+from itertools import accumulate, combinations_with_replacement, compress, islice, zip_longest
 from typing import Iterator
 
 from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton, _unchecked
@@ -67,53 +67,28 @@ def fibonacci(n: int) -> int:
 _CACHE_PERIMETER_LIMIT = 20
 
 
-def _grow(prev: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """The perimeter-``n`` table from ``prev``, the perimeter-(n - 1) table,
-    both reverse-lexicographic.
-
-    The letter before the terminal N of a word of perimeter n is E or N.
-    Deleting it is a bijection onto the words of perimeter n - 1: an E adds
-    1 to the largest part, an N repeats it.  So (k, k, ...) comes from the
-    group of ``prev`` with first part k (the N-branch) and (k, rest) with
-    rest below k from the group with first part k - 1 (the E-branch).
-    Emitting, for k from n down, the N-branch of group k and then the
-    E-branch of group k - 1 keeps reverse-lexicographic order.  In ``prev``
-    the group with first part k has binom(n - 2, k - 1) entries.
-    """
-    groups = [()] * (n + 1)  # groups[k]: the entries of prev with first part k
-    stop = 0
-    for k in range(n - 1, 0, -1):
-        start, stop = stop, stop + binom(n - 2, k - 1)
-        groups[k] = prev[start:stop]
-    out = []
-    for k in range(n, 0, -1):
-        out += [(k,) + p for p in groups[k]]
-        out += [(k,) + p[1:] for p in groups[k - 1]]
-    return tuple(out)
+def _perimeter_table(n: int) -> tuple[tuple[int, ...], ...]:
+    # combinations_with_replacement of a descending range yields
+    # non-increasing tuples in reverse-lexicographic order
+    return tuple(
+        (a,) + rest for a in range(n, 0, -1) for rest in combinations_with_replacement(range(a, 0, -1), n - a)
+    )
 
 
-@lru_cache(maxsize=None)
-def _parts_by_perimeter_cached(n: int) -> tuple[tuple[int, ...], ...]:
-    return ((1,),) if n == 1 else _grow(_parts_by_perimeter_cached(n - 1), n)
+_cached_perimeter_table = lru_cache(maxsize=None)(_perimeter_table)
 
 
 def parts_by_perimeter(n: int) -> tuple[tuple[int, ...], ...]:
     """All parts tuples with perimeter ``n``, reverse-lexicographic.
 
-    Grown letter by letter from the table of perimeter n - 1 (see
-    :func:`_grow`).  Cached up to ``_CACHE_PERIMETER_LIMIT`` so that the
-    many verification sweeps share one pass; larger perimeters grow from
-    the last cached table without caching.
+    By definition: a largest part a from n down to 1, then n - a more parts
+    from a down to 1, C(n - 1, n - a) ways for each a.  Cached up to
+    ``_CACHE_PERIMETER_LIMIT`` so that the many verification sweeps share
+    one table; larger perimeters are built afresh on each call.
     """
     if n < 1:
         raise ValueError("perimeter must be at least 1")
-    limit = _CACHE_PERIMETER_LIMIT
-    if n <= limit:
-        return _parts_by_perimeter_cached(n)
-    table = _parts_by_perimeter_cached(limit)
-    for m in range(limit + 1, n + 1):
-        table = _grow(table, m)
-    return table
+    return (_cached_perimeter_table if n <= _CACHE_PERIMETER_LIMIT else _perimeter_table)(n)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +259,6 @@ def excess_e(n: int) -> int:
     return _EXCESS_BY_RESIDUE[n % 6]
 
 
-@lru_cache(maxsize=None)
 def partitions_of_size(n: int, distinct: bool = False) -> tuple[tuple[int, ...], ...]:
     """All parts tuples summing to ``n`` (optionally with strictly
     decreasing parts), reverse-lexicographic."""
@@ -310,7 +284,7 @@ def enumerate_by_size(max_size: int, distinct_only: bool = False) -> Iterator[Pa
         raise ValueError("max_size must be at least 1")
     for n in range(1, max_size + 1):
         # each part is in 1..the part before it (or n): valid by construction
-        for parts in partitions_of_size(n, distinct_only):
+        for parts in _gen_by_size(n, n, distinct_only):
             yield _unchecked(parts)
 
 

@@ -456,9 +456,7 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
 
 
 def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
-    diff = (a - b).q_coefficients()
-    j = min(diff)
-    exps, _ = diff[j].sorted_terms()[0]
+    exps, _ = (a - b).sorted_terms()[0]
     named = dict(zip(a.variables, exps))
     return {"monomial": named, "lhs": a.coefficient(named), "rhs": b.coefficient(named)}
 
@@ -874,7 +872,6 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
             ds = [kwargs.pop("d")] if "d" in kwargs else list(_D_CHAIN_DEFAULT_RANGE)
             jobs.extend((cid, {"d": d, **kwargs}) for d in ds)
         else:
-            kwargs.pop("d", None)
             jobs.append((cid, kwargs))
     workers = min(len(jobs), _usable_cpus())
     if workers > 1:

@@ -159,7 +159,7 @@ class ConstraintClass:
         if _FAMILIES[self.kind][1] is not None:
             if self.d is not None:
                 raise ValueError(f"class {self.kind!r} takes no parameter")
-        elif not isinstance(self.d, int) or self.d < 1:
+        elif not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
             raise ValueError(f"class {self.kind!r} needs an integer parameter d >= 1")
 
     def __str__(self) -> str:

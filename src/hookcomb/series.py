@@ -119,13 +119,6 @@ class MultiPoly:
         vec = tuple(exponents.get(v, 0) for v in self.variables)
         return self._terms.get(vec, 0)
 
-    def q_coefficients(self) -> dict[int, "MultiPoly"]:
-        """Split into homogeneous-in-q layers: q-degree -> polynomial."""
-        layers: dict[int, dict[tuple[int, ...], int]] = {}
-        for exps, coeff in self._terms.items():
-            layers.setdefault(exps[self._qi], {})[exps] = coeff
-        return {j: MultiPoly(self.variables, t, self.qbound) for j, t in layers.items()}
-
     # -- ring operations --------------------------------------------------
 
     def _check_compatible(self, other: "MultiPoly") -> None:
@@ -188,25 +181,6 @@ class MultiPoly:
 
     def with_qbound(self, qbound: int | None) -> "MultiPoly":
         return MultiPoly(self.variables, self._terms, qbound)
-
-    def restrict(self, variables: tuple[str, ...]) -> "MultiPoly":
-        """Re-express on another variable tuple.
-
-        Dropped variables must have exponent 0 in every term; added
-        variables get exponent 0.
-        """
-        out: dict[tuple[int, ...], int] = {}
-        pos = {v: i for i, v in enumerate(self.variables)}
-        for name in self.variables:
-            if name not in variables:
-                idx = pos[name]
-                for exps in self._terms:
-                    if exps[idx]:
-                        raise VariableMismatch(f"cannot drop {name!r}: it appears with nonzero exponent")
-        for exps, coeff in self._terms.items():
-            key = tuple(exps[pos[v]] if v in pos else 0 for v in variables)
-            out[key] = coeff
-        return MultiPoly(variables, out, self.qbound)
 
     def substitute(self, assignment: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves.
@@ -373,9 +347,6 @@ class RationalGF:
         q0 = {e: c for e, c in self.denominator.terms.items() if e[qi] == 0}
         if q0 != {zero_vec: 1}:
             raise NonUnitDenominator("denominator must have q-degree-0 part exactly 1")
-
-    def substitute(self, assignment: Mapping[str, MultiPoly | int]) -> "RationalGF":
-        return RationalGF(self.numerator.substitute(assignment), self.denominator.substitute(assignment))
 
 
 def expand(gf: RationalGF, qbound: int) -> MultiPoly:

@@ -13,7 +13,6 @@ from hookcomb.cli import (
     parse_class_spec,
     parse_eval_spec,
     parse_range,
-    partitions_from_json,
 )
 from hookcomb import identities
 from hookcomb.identities import CHECKS, TheoremReport
@@ -109,7 +108,7 @@ def test_enumerate_with_parts_filter(capsys):
 def test_enumerate_json_roundtrip(capsys):
     code, out, _ = run(capsys, "enumerate", "--perimeter", "8", "--class", "odd", "--format", "json")
     assert code == 0
-    parsed = partitions_from_json(out)
+    parsed = [make_partition(entry) for entry in json.loads(out)]
     code2, text_out, _ = run(capsys, "enumerate", "--perimeter", "8", "--class", "odd")
     assert [",".join(map(str, p.parts)) for p in parsed] == text_out.splitlines()
 

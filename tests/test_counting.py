@@ -124,13 +124,21 @@ def test_grown_table_matches_decoded_words():
         assert parts_by_perimeter(n) == decoded_table(n), n
 
 
+def test_table_within_cache_limit_is_reused():
+    from hookcomb import counting
+
+    for n in (1, 9, counting._CACHE_PERIMETER_LIMIT):
+        assert parts_by_perimeter(n) is parts_by_perimeter(n), n
+
+
 def test_table_beyond_cache_limit_matches_decoded_words(monkeypatch):
     from hookcomb import counting
 
     monkeypatch.setattr(counting, "_CACHE_PERIMETER_LIMIT", 10)
     for n in (12, 13, 14):
         table = counting.parts_by_perimeter(n)
-        assert table is not counting._parts_by_perimeter_cached(n)  # grown, not cached
+        assert table is not counting._cached_perimeter_table(n)  # built afresh, not cached
+        assert table is not counting.parts_by_perimeter(n)
         assert table == decoded_table(n), n
 
 
@@ -202,6 +210,17 @@ def test_parity_split_at_perimeter_1e5_in_bounded_memory():
         tracemalloc.stop()
     total, excess = fibonacci(n), excess_e(n)
     assert (even, odd) == ((total + excess) // 2, (total - excess) // 2)
+    assert peak < 2**20, peak
+
+
+def test_enumerate_by_size_streams():
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_by_size(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 43819  # p(1) + ... + p(32)
     assert peak < 2**20, peak
 
 

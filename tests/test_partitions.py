@@ -345,3 +345,11 @@ def test_constraint_class_validation():
         ConstraintClass("weird")
     assert str(d_distinct(3)) == "ddistinct:3"
     assert str(DISTINCT) == "distinct"
+
+
+@pytest.mark.parametrize("kind", ["ddistinct", "modone", "gclass"])
+def test_constraint_class_rejects_bool_parameter(kind):
+    # True == 1 and hashes alike, but would print as "ddistinct:True"
+    for d in (True, False):
+        with pytest.raises(ValueError):
+            ConstraintClass(kind, d)
