@@ -3,18 +3,43 @@
 Everything here works in the ring Z[vars] with a hard cap on the q-degree:
 terms whose q-exponent exceeds the bound are dropped, which makes these
 polynomials a faithful model of formal power series in q with polynomial
-coefficients.  All coefficients are Python ints, so every computation is
-exact.
+coefficients.  All coefficients and exponents are Python ints, so every
+computation is exact.
 
 A ``qbound`` of ``None`` means "never truncate" (a plain polynomial);
-binary operations carry the smaller of the two operand bounds.
+binary operations, and :func:`series_inverse` with an explicit bound,
+carry the smaller of the two bounds.
+
+The product and division kernels work on packed exponent vectors: each
+vector becomes one int with one bit field per variable, q in the top field
+and the other variables below it in their tuple order.  Adding two packed
+keys then multiplies the monomials, and because q sits on top, sorting
+packed keys sorts by q-degree, so the q-bound becomes a cut on a sorted
+list.  The field width is worked out per call from the operands, wide
+enough for every exponent the call can produce, so a field never carries
+into the next one:
+
+- a product's exponents are at most the largest exponent of one factor
+  plus the largest exponent of the other;
+- in a quotient num / den to q-degree ``b``, every term of 1/den is a
+  product of den's non-constant terms, each of q-degree at least 1, so an
+  exponent there is at most ``b`` times the largest ratio of an exponent
+  to the q-degree over those terms; adding the numerator's largest
+  exponent bounds every partial sum of the layered division.
+
+Keys are packed on entry and unpacked into exponent tuples on exit; the
+public term map stays keyed by tuples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import lshift
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .partitions import ConstraintClass
 
@@ -43,12 +68,37 @@ def _min_bound(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def _require_int(value, what: str) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
+@lru_cache(maxsize=256)
+def _shifts(n: int, qi: int, width: int) -> tuple[int, ...]:
+    """Bit offset of each variable's field in a packed key: q in the top
+    field, the other variables below it in their tuple order."""
+    return tuple(width * (n - 1) if i == qi else width * (i - (i > qi)) for i in range(n))
+
+
+def _packed(terms: Mapping[tuple[int, ...], int], shifts: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(sum(map(lshift, e, shifts)), c) for e, c in terms.items()]
+
+
+def _unpacked(
+    pairs: Iterable[tuple[int, int]], shifts: tuple[int, ...], width: int
+) -> dict[tuple[int, ...], int]:
+    """The term map of packed (key, coefficient) pairs, zeros dropped."""
+    mask = (1 << width) - 1
+    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in pairs if c}
+
+
 class MultiPoly:
     """Sparse polynomial: a map from exponent vectors to int coefficients.
 
     The variable tuple must contain ``q``; the q-exponent of every stored
     term is at most ``qbound`` (when that is not None) and no zero
-    coefficients are stored.  Instances are immutable by convention: the
+    coefficients are stored.  Exponents, coefficients and a bound must be
+    ints, not bools; anything else raises :class:`TypeError`.  Instances are immutable by convention: the
     term map is exposed read-only and every operation builds a new value.
     """
 
@@ -64,16 +114,22 @@ class MultiPoly:
             raise VariableMismatch("the variable tuple must contain 'q'")
         if len(set(variables)) != len(variables):
             raise VariableMismatch("duplicate variable names")
+        if qbound is not None:
+            _require_int(qbound, "qbound")
         qi = variables.index("q")
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in terms.items():
-            if coeff == 0:
-                continue
+            _require_int(coeff, "a coefficient")
+            if not isinstance(exps, tuple):
+                raise TypeError(f"an exponent vector must be a tuple, got {type(exps).__name__}")
             if len(exps) != len(variables):
                 raise VariableMismatch("exponent vector length does not match the variables")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponents are not supported")
-            if qbound is not None and exps[qi] > qbound:
+            for e in exps:
+                if type(e) is not int:
+                    raise TypeError(f"an exponent must be an int, got {type(e).__name__}")
+                if e < 0:
+                    raise ValueError("negative exponents are not supported")
+            if coeff == 0 or (qbound is not None and exps[qi] > qbound):
                 continue
             clean[exps] = coeff
         object.__setattr__(self, "variables", tuple(variables))
@@ -129,13 +185,14 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
+        bound = _min_bound(self.qbound, other.qbound)
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
             out[exps] = out.get(exps, 0) + coeff
-        return MultiPoly(self.variables, out, _min_bound(self.qbound, other.qbound))
+        return _unchecked(self.variables, _truncated(out, self._qi, bound), bound, self._qi)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self._terms.items()}, self.qbound)
+        return _unchecked(self.variables, {e: -c for e, c in self._terms.items()}, self.qbound, self._qi)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -144,14 +201,32 @@ class MultiPoly:
         self._check_compatible(other)
         bound = _min_bound(self.qbound, other.qbound)
         qi = self._qi
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                if bound is not None and e1[qi] + e2[qi] > bound:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.variables, out, bound)
+        a, b = self._terms, other._terms
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return _unchecked(self.variables, {}, bound, qi)
+        width = (max(map(max, a)) + max(map(max, b))).bit_length()
+        shifts = _shifts(len(self.variables), qi, width)
+        top = shifts[qi]
+        outer = _packed(a, shifts)
+        inner = _packed(b, shifts)
+        if bound is not None and (max(outer)[0] >> top) + (max(inner)[0] >> top) > bound:
+            # some pair passes the bound: cut the sorted inner list, as
+            # ka + kb < limit exactly when the pair's q-degree fits
+            inner.sort()
+            keys = [k for k, _ in inner]
+            limit = (bound + 1) << top
+            rows = ((ka, ca, inner[: bisect_left(keys, limit - ka)]) for ka, ca in outer)
+        else:
+            rows = ((ka, ca, inner) for ka, ca in outer)
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca, row in rows:
+            for kb, cb in row:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return _unchecked(self.variables, _unpacked(out.items(), shifts, width), bound, qi)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -167,7 +242,9 @@ class MultiPoly:
         return result
 
     def scale(self, c: int) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: c * v for e, v in self._terms.items()}, self.qbound)
+        _require_int(c, "a scale factor")
+        terms = {e: c * v for e, v in self._terms.items()} if c else {}
+        return _unchecked(self.variables, terms, self.qbound, self._qi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -209,18 +286,26 @@ class MultiPoly:
                 if name not in target:
                     raise VariableMismatch(f"variable {name!r} is unassigned and missing from the target")
                 images[name] = MultiPoly.monomial(target, 1, {name: 1}, self.qbound)
-        result = MultiPoly.zero(target, self.qbound)
+        # sum every term's image into one map; the result keeps the
+        # smallest bound among this polynomial and the images it used
+        bound = self.qbound
+        out: dict[tuple[int, ...], int] = {}
         powers: dict[tuple[str, int], MultiPoly] = {}
         for exps, coeff in self._terms.items():
-            term = MultiPoly.constant(coeff, target, self.qbound)
+            term = None
             for name, e in zip(self.variables, exps):
                 if e:
                     key = (name, e)
                     if key not in powers:
                         powers[key] = images[name] ** e
-                    term = term * powers[key]
-            result = result + term
-        return result
+                    term = powers[key] if term is None else term * powers[key]
+            if term is None:
+                term = MultiPoly.constant(1, target, self.qbound)
+            bound = _min_bound(bound, term.qbound)
+            for e, c in term.scale(coeff)._terms.items():
+                out[e] = out.get(e, 0) + c
+        qi = target.index("q")
+        return _unchecked(target, _truncated(out, qi, bound), bound, qi)
 
     # -- rendering ----------------------------------------------------------
 
@@ -267,6 +352,28 @@ class MultiPoly:
         return f"MultiPoly({self.text()!r}, qbound={self.qbound})"
 
 
+def _unchecked(
+    variables: tuple[str, ...], terms: dict[tuple[int, ...], int], qbound: int | None, qi: int
+) -> MultiPoly:
+    """The :class:`MultiPoly` of ``terms``, without ``__init__`` and without
+    validation: the caller guarantees that every key is a tuple of
+    non-negative ints of the right length, no coefficient is zero, no
+    q-degree exceeds ``qbound`` and ``qi`` is the index of q."""
+    p = object.__new__(MultiPoly)
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "qbound", qbound)
+    object.__setattr__(p, "_terms", terms)
+    object.__setattr__(p, "_qi", qi)
+    return p
+
+
+def _truncated(terms: dict[tuple[int, ...], int], qi: int, qbound: int | None) -> dict[tuple[int, ...], int]:
+    """``terms`` without zero coefficients or q-degrees above ``qbound``."""
+    if qbound is None:
+        return {e: c for e, c in terms.items() if c}
+    return {e: c for e, c in terms.items() if c and e[qi] <= qbound}
+
+
 def poly_gens(*names: str, qbound: int | None = None) -> tuple[MultiPoly, ...]:
     """Generator monomials for each name over the shared variable tuple."""
     variables = tuple(names)
@@ -274,43 +381,56 @@ def poly_gens(*names: str, qbound: int | None = None) -> tuple[MultiPoly, ...]:
 
 
 def series_inverse(p: MultiPoly, qbound: int | None = None) -> MultiPoly:
-    """The r with p * r = 1 up to the q-degree bound.
+    """The r with p * r = 1 up to the q-degree bound, the smaller of
+    ``qbound`` and ``p.qbound``: p is known only to its own bound, so its
+    inverse is too.
 
     Requires the q-degree-0 part of ``p`` to be exactly the constant 1;
-    then the inverse has integer polynomial coefficients and is found layer
-    by layer from r_j = -(p_1 r_{j-1} + ... + p_j r_0).
+    then the inverse has integer polynomial coefficients.  It is the
+    layered division of 1 by ``p``.
     """
-    if qbound is None:
-        qbound = p.qbound
-    if qbound is None:
+    bound = _min_bound(qbound, p.qbound)
+    if bound is None:
         raise ValueError("an explicit qbound is required to invert an unbounded polynomial")
-    zero_vec = (0,) * len(p.variables)
-    qi = p.variables.index("q")
-    p_layers: dict[int, dict[tuple[int, ...], int]] = {}
-    for exps, coeff in p.terms.items():
-        if exps[qi] <= qbound:
-            p_layers.setdefault(exps[qi], {})[exps] = coeff
-    if p_layers.get(0) != {zero_vec: 1}:
+    return _divide(MultiPoly.constant(1, p.variables, bound), p, bound)
+
+
+def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
+    """The quotient num / den to q-degree ``qbound``, layer by layer in q:
+    r_j = num_j - (den_1 r_(j-1) + ... + den_j r_0), where den_i is the
+    q-degree-i part of ``den``, whose q-degree-0 part must be exactly 1.
+    Only the few layers that den has are visited."""
+    if qbound < 0:
+        raise ValueError("qbound must be non-negative")
+    variables, qi = den.variables, den._qi
+    if {e: c for e, c in den._terms.items() if e[qi] == 0} != {(0,) * len(variables): 1}:
         raise NonUnitConstantTerm("the q-degree-0 part must be exactly 1")
-    r_layers: dict[int, dict[tuple[int, ...], int]] = {0: {zero_vec: 1}}
-    for j in range(1, qbound + 1):
-        acc: dict[tuple[int, ...], int] = {}
-        for i in range(1, j + 1):
-            pi = p_layers.get(i)
-            rj = r_layers.get(j - i)
-            if not pi or not rj:
-                continue
-            for e1, c1 in pi.items():
-                for e2, c2 in rj.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    acc[key] = acc.get(key, 0) - c1 * c2
-        acc = {e: c for e, c in acc.items() if c}
-        if acc:
-            r_layers[j] = acc
-    flat: dict[tuple[int, ...], int] = {}
-    for layer in r_layers.values():
-        flat.update(layer)
-    return MultiPoly(p.variables, flat, qbound)
+    rest = {e: c for e, c in den._terms.items() if 0 < e[qi] <= qbound}
+    reach = max((max(e) * qbound // e[qi] for e in rest), default=0)
+    width = (max(map(max, num._terms), default=0) + reach).bit_length()
+    shifts = _shifts(len(variables), qi, width)
+    top = shifts[qi]
+    num_layers: list[dict[int, int]] = [{} for _ in range(qbound + 1)]
+    for k, c in _packed(num._terms, shifts):
+        if k >> top <= qbound:
+            num_layers[k >> top][k] = c
+    den_layers: dict[int, list[tuple[int, int]]] = {}
+    for k, c in _packed(rest, shifts):
+        den_layers.setdefault(k >> top, []).append((k, c))
+    ordered = sorted(den_layers.items())
+    quotient: list[list[tuple[int, int]]] = []
+    for j, acc in enumerate(num_layers):
+        get = acc.get
+        for i, layer in ordered:
+            if i > j:
+                break
+            prev = quotient[j - i]
+            for kd, cd in layer:
+                for kr, cr in prev:
+                    k = kd + kr
+                    acc[k] = get(k, 0) - cd * cr
+        quotient.append([(k, c) for k, c in acc.items() if c])
+    return _unchecked(variables, _unpacked(chain.from_iterable(quotient), shifts, width), qbound, qi)
 
 
 def pochhammer(base: MultiPoly, n: int, qbound: int | None = None) -> MultiPoly:
@@ -356,11 +476,9 @@ def expand(gf: RationalGF, qbound: int) -> MultiPoly:
     reproduce the numerator up to the bound, or :class:`ExpansionCheckFailed`
     is raised.
     """
-    if qbound < 0:
-        raise ValueError("qbound must be non-negative")
     num = gf.numerator.with_qbound(qbound)
     den = gf.denominator.with_qbound(qbound)
-    result = num * series_inverse(den, qbound)
+    result = _divide(num, den, qbound)
     if result * den != num:
         raise ExpansionCheckFailed("expansion failed the multiply-back check")
     return result

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,12 +137,12 @@ def test_expand_rejects_non_unit_denominator():
 def test_expand_raises_when_multiply_back_fails(monkeypatch):
     from hookcomb import series
 
-    real = series.series_inverse
+    real = series._divide
 
-    def off_by_q(den, qbound):
-        return real(den, qbound) + MultiPoly.monomial(den.variables, 1, {"q": 1}, qbound)
+    def off_by_q(num, den, qbound):
+        return real(num, den, qbound) + MultiPoly.monomial(den.variables, 1, {"q": 1}, qbound)
 
-    monkeypatch.setattr(series, "series_inverse", off_by_q)
+    monkeypatch.setattr(series, "_divide", off_by_q)
     with pytest.raises(ExpansionCheckFailed):
         expand(gf_of_class(DISTINCT), 6)
 
@@ -206,6 +208,47 @@ def test_series_inverse_needs_unit_constant():
     (q,) = poly_gens("q")
     with pytest.raises(NonUnitConstantTerm):
         series_inverse(q, 4)
+
+
+def test_series_inverse_keeps_the_smaller_bound():
+    # 1 - q known only to q^0 is 1 there: its inverse is known to q^0 too,
+    # not to the q^5 that was asked for
+    p = MultiPoly(("q",), {(0,): 1, (1,): -1}, 0)
+    inv = series_inverse(p, 5)
+    assert inv.qbound == 0
+    assert inv == MultiPoly.constant(1, ("q",), 0)
+    assert series_inverse(p.with_qbound(5), 3).qbound == 3
+    with pytest.raises(ValueError):
+        series_inverse(p.with_qbound(None))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 1): 0.5},
+        {(1, 1): 1.0},
+        {(1, 1): True},
+        {(1, 1): Fraction(1)},
+        {(1.0, 1): 1},
+        {(1, 0.5): 1},
+        {(True, 1): 1},
+        {(1, 1): 0.0},
+        {"ab": 1},
+    ],
+    ids=repr,
+)
+def test_rejects_non_integers(terms):
+    with pytest.raises(TypeError):
+        MultiPoly(("x", "q"), terms)
+
+
+def test_scale_and_qbound_reject_non_integers():
+    p = MultiPoly(("x", "q"), {(1, 1): 1})
+    for c in (0.5, 2.0, True, Fraction(2)):
+        with pytest.raises(TypeError):
+            p.scale(c)
+        with pytest.raises(TypeError):
+            p.with_qbound(c)
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +345,127 @@ def test_json_terms_stable():
         {"coeff": 1, "exponents": {"x": 1, "y": 1, "q": 1}},
         {"coeff": -2, "exponents": {"q": 2}},
     ]
+
+
+# ---------------------------------------------------------------------------
+# the kernels against schoolbook arithmetic written from the definitions
+
+# small exponents make products collide; values just below a power of two,
+# and any value up to 2^70, test that no packed field carries into the next
+EXPONENTS = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from([2**k - 1 for k in (1, 8, 16, 31, 32, 63, 64, 70)]),
+    st.integers(0, 2**70),
+)
+BOUNDS = st.one_of(st.none(), st.integers(0, 6))
+
+
+def _ring(data):
+    """1-4 variables with q at any index."""
+    n = data.draw(st.integers(1, 4))
+    others = ["a", "b", "c"][: n - 1]
+    qi = data.draw(st.integers(0, n - 1))
+    return tuple(others[:qi] + ["q"] + others[qi:])
+
+
+def _poly(data, variables, qbound=BOUNDS):
+    terms = data.draw(
+        st.dictionaries(st.tuples(*[EXPONENTS] * len(variables)), st.integers(-3, 3), max_size=5)
+    )
+    return MultiPoly(variables, terms, data.draw(qbound))
+
+
+def _unit(data, variables):
+    """A polynomial whose q-degree-0 part is exactly 1; its q-degree >= 1
+    exponents stay small enough that the inverse has few terms."""
+    qi = variables.index("q")
+    small = st.tuples(*[st.integers(1, 3) if i == qi else EXPONENTS for i in range(len(variables))])
+    terms = data.draw(st.dictionaries(small, st.integers(-3, 3), max_size=3))
+    terms[(0,) * len(variables)] = 1
+    return MultiPoly(variables, terms, data.draw(BOUNDS))
+
+
+def _min(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _truncate(terms, qi, qbound):
+    return {e: c for e, c in terms.items() if c and (qbound is None or e[qi] <= qbound)}
+
+
+def _schoolbook(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _layered_inverse(terms, qi, n, qbound):
+    """r_0 = 1 and r_j = -(p_1 r_(j-1) + ... + p_j r_0), with p_i the
+    q-degree-i part of ``terms``."""
+    layers = [{(0,) * n: 1}]
+    for j in range(1, qbound + 1):
+        acc = {}
+        for e1, c1 in terms.items():
+            if 1 <= e1[qi] <= j:
+                for key, c in _schoolbook({e1: c1}, layers[j - e1[qi]]).items():
+                    acc[key] = acc.get(key, 0) - c
+        layers.append({e: c for e, c in acc.items() if c})
+    return {e: c for layer in layers for e, c in layer.items()}
+
+
+def _assert_invariants(p):
+    qi = p.variables.index("q")
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is int and coeff != 0
+        assert type(exps) is tuple and len(exps) == len(p.variables)
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert p.qbound is None or exps[qi] <= p.qbound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_and_sum_match_schoolbook(data):
+    variables = _ring(data)
+    qi = variables.index("q")
+    a, b = _poly(data, variables), _poly(data, variables)
+    bound = _min(a.qbound, b.qbound)
+    product, total = a * b, a + b
+    for got in (product, total, a - b, -a, a.scale(data.draw(st.integers(-3, 3)))):
+        _assert_invariants(got)
+    assert product.qbound == total.qbound == bound
+    assert dict(product.terms) == _truncate(_schoolbook(a.terms, b.terms), qi, bound)
+    summed = dict(a.terms)
+    for e, c in b.terms.items():
+        summed[e] = summed.get(e, 0) + c
+    assert dict(total.terms) == _truncate(summed, qi, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_and_expand_match_layered_definition(data):
+    variables = _ring(data)
+    qi, n = variables.index("q"), len(variables)
+    den = _unit(data, variables)
+    asked = data.draw(BOUNDS)
+    bound = _min(asked, den.qbound)
+    if bound is None:
+        with pytest.raises(ValueError):
+            series_inverse(den, asked)
+        return
+    inv = series_inverse(den, asked)
+    _assert_invariants(inv)
+    assert inv.qbound == bound
+    assert dict(inv.terms) == _layered_inverse(den.terms, qi, n, bound)
+
+    num = _poly(data, variables)
+    qbound = data.draw(st.integers(0, 6))
+    got = expand(RationalGF(num, den), qbound)
+    _assert_invariants(got)
+    assert got.qbound == qbound
+    ref_inv = _layered_inverse(_truncate(den.terms, qi, qbound), qi, n, qbound)
+    num_terms = _truncate(num.terms, qi, qbound)
+    assert dict(got.terms) == _truncate(_schoolbook(num_terms, ref_inv), qi, qbound)
+
