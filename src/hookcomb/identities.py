@@ -21,7 +21,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .counting import (
@@ -141,17 +142,35 @@ def _brute_series(variables: tuple[str, ...], terms: Iterable[tuple], qbound: in
     return MultiPoly(variables, acc, qbound)
 
 
-def _brute_members(n: int, c: ConstraintClass) -> Iterator[tuple[int, ...]]:
-    """Brute-force route: the parts tuples of perimeter ``n`` that the
-    membership test of ``c`` accepts, out of all 2^(n-1) partitions."""
-    all_parts = parts_by_perimeter(n)
-    return compress(all_parts, map(c.member, all_parts))
+def _brute_members(table: tuple[tuple[int, ...], ...], c: ConstraintClass) -> Iterator[tuple[int, ...]]:
+    """Brute-force route: the entries of ``table`` (``parts_by_perimeter(n)``,
+    all 2^(n-1) partitions of perimeter n) that the first-break oracle of
+    ``c`` accepts.
+
+    An entry that breaks the rule at part k shares its length with every
+    entry of the same first part, so every entry with the same first k + 1
+    parts breaks there too.  In the reverse-lexicographic table those
+    entries are contiguous and the walk meets the first of them, whose r
+    remaining parts all equal ``parts[k]``; the block holds one entry per
+    choice of r parts from ``parts[k]`` down to 1, and the walk skips it
+    whole.  Each rejected prefix is thus tested once.
+    """
+    first_break = c.first_break
+    i, end = 0, len(table)
+    while i < end:
+        parts = table[i]
+        k = first_break(parts)
+        r = len(parts) - k - 1
+        if r < 0:
+            yield parts
+            i += 1
+        else:
+            i += comb(parts[k] - 1 + r, r)
 
 
-def _brute_count(n: int, c: ConstraintClass) -> int:
-    """How many of the 2^(n-1) partitions of perimeter ``n`` the membership
-    test of ``c`` accepts."""
-    return sum(map(c.member, parts_by_perimeter(n)))
+def _brute_count(table: tuple[tuple[int, ...], ...], c: ConstraintClass) -> int:
+    """How many entries of ``table`` :func:`_brute_members` accepts."""
+    return sum(1 for _ in _brute_members(table, c))
 
 
 def _distinct_by_size(max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -262,8 +281,9 @@ def _scan_euler_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
             f"automaton {mod_one(1)}": count_by_perimeter(n, mod_one(1)),
         }
         if n <= enum_limit:
-            routes["enumeration distinct"] = _brute_count(n, DISTINCT)
-            routes["enumeration odd"] = _brute_count(n, ODD)
+            table = parts_by_perimeter(n)
+            routes["enumeration distinct"] = _brute_count(table, DISTINCT)
+            routes["enumeration odd"] = _brute_count(table, ODD)
         yield from _disagreement({"n": n}, "fibonacci", fibonacci(n), routes)
 
 
@@ -317,8 +337,9 @@ def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
 
 def _scan_refinements(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
-        distinct = list(_brute_members(n, DISTINCT))
-        odd = list(_brute_members(n, ODD))
+        table = parts_by_perimeter(n)
+        distinct = list(_brute_members(table, DISTINCT))
+        odd = list(_brute_members(table, ODD))
         for k in range(0, n + 2):
             cases = [
                 (
@@ -365,7 +386,7 @@ def _parity_split_binomials(n: int) -> tuple[int, int]:
 
 def _parity_split_enumeration(n: int) -> tuple[int, int]:
     """count_parity_split by the brute-force word filter."""
-    odd_flags = [len(parts) & 1 for parts in _brute_members(n, DISTINCT)]
+    odd_flags = [len(parts) & 1 for parts in _brute_members(parts_by_perimeter(n), DISTINCT)]
     odd = sum(odd_flags)
     return len(odd_flags) - odd, odd
 
@@ -430,15 +451,16 @@ def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
 def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
     dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
     for n in range(1, max_n + 1):
-        g_set = set(_brute_members(n, gc))
+        table = parts_by_perimeter(n)
+        g_set = set(_brute_members(table, gc))
         grammar_set = gclass_by_block_grammar(n, d)
         routes = {
-            f"enumeration {mo}": _brute_count(n, mo),
+            f"enumeration {mo}": _brute_count(table, mo),
             f"enumeration {gc}": len(g_set),
             f"automaton {dd}": count_by_perimeter(n, dd),
             f"block grammar {gc}": len(grammar_set),
         }
-        yield from _disagreement({"n": n, "d": d}, "d_distinct", _brute_count(n, dd), routes)
+        yield from _disagreement({"n": n, "d": d}, "d_distinct", _brute_count(table, dd), routes)
         if grammar_set != g_set:
             sample = [list(p) for p in sorted(grammar_set ^ g_set)[:3]]
             yield {"n": n, "d": d, "route": f"block grammar {gc}", "set_difference_sample": sample}
@@ -463,7 +485,8 @@ def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
 
 def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
     expanded = expand(gf_of_class(c), qbound)
-    terms = (((parts[0], len(parts), n), 1) for n in range(1, qbound + 1) for parts in _brute_members(n, c))
+    terms = (((parts[0], len(parts), n), 1)
+             for n in range(1, qbound + 1) for parts in _brute_members(parts_by_perimeter(n), c))
     brute = _brute_series(("x", "y", "q"), terms, qbound)
     if expanded != brute:
         yield {"class": str(c), "versus": "enumeration", **_first_term_difference(expanded, brute)}
@@ -743,7 +766,7 @@ def _scan_congruences(max_n: int, enum_limit: int) -> Iterator[dict]:
             case = {"family": label, "argument": arg, "modulus": modulus, "residue": residue}
             if which == "total":
                 value = fibonacci(arg)
-                routes = {"enumeration": _brute_count(arg, DISTINCT)} if arg <= enum_limit else {}
+                routes = {"enumeration": _brute_count(parts_by_perimeter(arg), DISTINCT)} if arg <= enum_limit else {}
                 yield from _disagreement(case, "h_D", value, routes)
                 if value % modulus != residue:
                     yield {**case, "h_D": value}
@@ -829,8 +852,11 @@ CHECKS: dict[str, Callable[..., TheoremReport]] = {
 _D_CHAIN_DEFAULT_RANGE = (1, 2, 3, 4, 5)
 
 # The slowest reports of ``verify all`` at their default depths, slowest
-# first (d-chain's cost rises as d falls); a pool starts these before the
-# rest, so that no long job starts last.
+# first; a pool starts these before the rest, so that no long job starts
+# last.  Measured on 2 CPUs: d-chain at d = 1 and 2 takes 170-180 and
+# 110-120 ms, mostly filling its worker's perimeter table (d >= 3 under
+# 10 ms), powers-of-two 115-140 ms and franklin about 40 ms; every other
+# report takes 10 ms or less.
 _LONGEST_FIRST = ("d-chain", "powers-of-two", "franklin")
 
 

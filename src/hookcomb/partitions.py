@@ -12,8 +12,10 @@ that check; it is private because its caller must guarantee validity.
 
 Each constraint class also has a minimal automaton on its boundary words
 (:class:`WordAutomaton`), the one representation the counting engine works
-from; :func:`parts_are_member` stays a separate predicate written from the
-class definitions, so the two can check each other.
+from; :meth:`ConstraintClass.first_break` stays a separate oracle written
+from the class definitions, so the two can check each other.  It returns
+where a parts tuple first breaks the class rule, so the brute-force filter
+can skip every partition that shares the broken prefix.
 
 All values are immutable (a word automaton replaces its reach table
 whole) and all functions are pure, so everything in this module is safe
@@ -173,10 +175,14 @@ class ConstraintClass:
         return family, self.d if d is None else d
 
     @cached_property
-    def member(self) -> Callable[[tuple[int, ...]], bool]:
-        """Membership test on a raw parts tuple, resolved from the family on
-        first use so that per-word calls skip the dispatch."""
-        return _member_test(self)
+    def first_break(self) -> Callable[[tuple[int, ...]], int]:
+        """The index of the first part of a raw parts tuple at which the
+        class rule fails, or its length for a member.  The rule at part i
+        reads ``parts[i - 1]`` and ``parts[i]``; for ``gclass`` the rule at
+        the last part also reads the gap to the virtual trailing 0.
+        Resolved from the family on first use so that per-word calls skip
+        the dispatch."""
+        return _first_break_of(self)
 
     @cached_property
     def automaton(self) -> "WordAutomaton":
@@ -184,7 +190,7 @@ class ConstraintClass:
         return _automaton_of(self)
 
     def __getstate__(self) -> dict:
-        # the bound ``member`` test is a closure: pickle the fields only
+        # the bound ``first_break`` oracle is a closure: pickle the fields only
         return {"kind": self.kind, "d": self.d}
 
 
@@ -208,59 +214,66 @@ def g_class(d: int) -> ConstraintClass:
 def parts_are_member(parts: tuple[int, ...], c: ConstraintClass) -> bool:
     """Membership test on a raw parts tuple (assumed valid).
 
-    This is the hot path of the brute-force word filter; :func:`is_member`
-    is the public wrapper over :class:`Partition`.  The test itself is
-    ``c.member``, chosen by family once per class.
+    :func:`is_member` is the public wrapper over :class:`Partition`.  A
+    member is a tuple none of whose parts breaks the rule of ``c``: see
+    :attr:`ConstraintClass.first_break`.
     """
-    return c.member(parts)
+    return c.first_break(parts) == len(parts)
 
 
-def _member_test(c: ConstraintClass) -> Callable[[tuple[int, ...]], bool]:
-    """The membership test of class ``c`` on a raw parts tuple, with the
-    constants of its family bound."""
+def _first_break_of(c: ConstraintClass) -> Callable[[tuple[int, ...]], int]:
+    """The first-break oracle of class ``c`` on a raw parts tuple, with the
+    constants of its family bound.  The loops count parts by hand: most
+    tuples break within two parts, where building an ``enumerate`` costs
+    about as much as the test."""
     family, d = c.family
     if family == "gap":
-        if d == 0:  # every partition: skip the per-part loop
-            return lambda parts: True
+        if d == 0:  # every partition: no part breaks the rule
+            return len
 
-        def gaps_at_least_d(parts: tuple[int, ...]) -> bool:
-            prev = parts[0] + d
+        def gaps_at_least_d(parts: tuple[int, ...]) -> int:
+            prev, i = parts[0] + d, 0
             for x in parts:
                 if prev - x < d:
-                    return False
+                    return i
                 prev = x
-            return True
+                i += 1
+            return i
 
         return gaps_at_least_d
     if family == "residue":
         m = d + 1
 
-        def residues_one(parts: tuple[int, ...]) -> bool:
+        def residues_one(parts: tuple[int, ...]) -> int:
+            i = 0
             for x in parts:
                 if x % m != 1:
-                    return False
-            return True
+                    return i
+                i += 1
+            return i
 
         return residues_one
     # residue-and-gap: each part must leave a residue 1 or d + 2 mod 2d + 1,
     # and the gap to the next part (or to the virtual trailing 0) is at most
-    # 2d + 1, strictly less at residue 1; ``low`` is the smallest next part
+    # 2d + 1, strictly less at residue 1; ``low`` is the smallest next part,
+    # and a last part too far above 0 breaks the rule where it stands
     mod = 2 * d + 1
     alt = (d + 2) % mod
 
-    def residues_and_gaps(parts: tuple[int, ...]) -> bool:
-        low = 0
+    def residues_and_gaps(parts: tuple[int, ...]) -> int:
+        low = i = 0
         for x in parts:
             if x < low:
-                return False
+                return i
             r = x % mod
             if r == 1:
                 low = x - mod + 1
             elif r == alt:
                 low = x - mod
             else:
-                return False
-        return low <= 0
+                return i
+            i += 1
+        return i if low <= 0 else i - 1
 
     return residues_and_gaps
 

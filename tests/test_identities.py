@@ -154,6 +154,40 @@ def test_block_grammar_generation_matches_filter():
             assert generated == filtered
 
 
+def test_brute_filter_matches_the_membership_test():
+    from hookcomb.counting import parts_by_perimeter
+    from hookcomb.identities import _all_classes, _brute_members
+    from hookcomb.partitions import parts_are_member
+
+    for n in range(1, 17):
+        table = parts_by_perimeter(n)
+        for c in _all_classes(5):
+            assert list(_brute_members(table, c)) == [p for p in table if parts_are_member(p, c)], (n, str(c))
+
+
+def test_brute_filter_tests_each_rejected_prefix_once():
+    from hookcomb.counting import parts_by_perimeter
+    from hookcomb.identities import _all_classes, _brute_members
+    from hookcomb.partitions import ConstraintClass
+
+    table = parts_by_perimeter(18)
+    for c in _all_classes(5):
+        if c.kind == "any":
+            continue
+        fresh = ConstraintClass(c.kind, c.d)  # its own binding, not the shared one's
+        oracle, calls = fresh.first_break, 0
+
+        def counted(parts):
+            nonlocal calls
+            calls += 1
+            return oracle(parts)
+
+        vars(fresh)["first_break"] = counted
+        members = sum(1 for _ in _brute_members(table, fresh))
+        assert members == count_by_perimeter(18, c), str(c)
+        assert calls < len(table) // 10, (str(c), calls)
+
+
 def text_route_partition(b, d):
     """The block spelling as E/N text, decoded through the word wrappers."""
     pieces = ["E", "N" * b.initial_ns]

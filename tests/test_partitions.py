@@ -26,7 +26,7 @@ from hookcomb import (
 )
 from hookcomb.identities import _all_classes
 from hookcomb.series import gf_of_class
-from hookcomb.partitions import ConstraintClass, _validate_parts
+from hookcomb.partitions import ConstraintClass, _validate_parts, parts_are_member
 
 
 def all_partitions_upto(max_size, distinct_only=False):
@@ -322,16 +322,26 @@ def test_d_one_aliases_are_one_class(alias, c):
         assert is_member(p, alias) == is_member(p, c)
 
 
+def test_first_break_names_the_part_that_breaks_the_rule():
+    gc = g_class(1)
+    assert gc.first_break((4,)) == 0  # only the gap to the trailing 0 fails
+    assert gc.first_break((4, 3)) == 2  # a member
+    assert gc.first_break((5, 3)) == 0  # 5 == 2 mod 3
+    assert d_distinct(2).first_break((8, 5, 4)) == 2
+    assert mod_one(2).first_break((7, 4, 2, 1)) == 2
+    assert UNRESTRICTED.first_break((3, 3, 3)) == 3
+
+
 def test_member_test_is_bound_lazily_and_pickles():
     import pickle
 
     c = ConstraintClass("gclass", 3)
-    assert "member" not in vars(c)  # building a class binds nothing
+    assert "first_break" not in vars(c)  # building a class binds nothing
     assert is_member(make_partition([8, 5]), c)
-    assert "member" in vars(c)
+    assert "first_break" in vars(c)
     clone = pickle.loads(pickle.dumps(c))
     assert clone == c and hash(clone) == hash(c)
-    assert clone.member((8, 5)) and not clone.member((8, 1))
+    assert parts_are_member((8, 5), clone) and not parts_are_member((8, 1), clone)
 
 
 def test_constraint_class_validation():
