@@ -4,8 +4,9 @@ The engine knows a class only through its word automaton with s states
 (:class:`hookcomb.partitions.WordAutomaton`): counts take O(log n) products
 of polynomials of degree at most s, refined counts one walk of n - 1 steps,
 and enumeration a backward walk whose work follows the output.
-:func:`parts_by_perimeter` lists all 2^(n-1) partitions of perimeter n; it,
-:func:`fibonacci` and :func:`excess_e` are routes the checks compare against.
+:func:`parts_by_perimeter` lists all 2^(n-1) partitions of perimeter n,
+uncached; it, :func:`fibonacci` and :func:`excess_e` are routes the checks
+compare against.
 """
 
 from __future__ import annotations
@@ -64,31 +65,21 @@ def fibonacci(n: int) -> int:
     return a
 
 
-_CACHE_PERIMETER_LIMIT = 20
+def parts_by_perimeter(n: int) -> tuple[tuple[int, ...], ...]:
+    """All parts tuples with perimeter ``n``, reverse-lexicographic.
 
-
-def _perimeter_table(n: int) -> tuple[tuple[int, ...], ...]:
+    By definition: a largest part a from n down to 1, then n - a more parts
+    from a down to 1, C(n - 1, n - a) ways for each a.  Built afresh on each
+    call: ``powers-of-two`` checks this list itself, and the other
+    brute-force routes walk the same partitions one at a time.
+    """
+    if n < 1:
+        raise ValueError("perimeter must be at least 1")
     # combinations_with_replacement of a descending range yields
     # non-increasing tuples in reverse-lexicographic order
     return tuple(
         (a,) + rest for a in range(n, 0, -1) for rest in combinations_with_replacement(range(a, 0, -1), n - a)
     )
-
-
-_cached_perimeter_table = lru_cache(maxsize=None)(_perimeter_table)
-
-
-def parts_by_perimeter(n: int) -> tuple[tuple[int, ...], ...]:
-    """All parts tuples with perimeter ``n``, reverse-lexicographic.
-
-    By definition: a largest part a from n down to 1, then n - a more parts
-    from a down to 1, C(n - 1, n - a) ways for each a.  Cached up to
-    ``_CACHE_PERIMETER_LIMIT`` so that the many verification sweeps share
-    one table; larger perimeters are built afresh on each call.
-    """
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
-    return (_cached_perimeter_table if n <= _CACHE_PERIMETER_LIMIT else _perimeter_table)(n)
 
 
 @lru_cache(maxsize=None)

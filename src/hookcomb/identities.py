@@ -11,8 +11,10 @@ first route that got it wrong.  Checks never raise on a mathematical
 mismatch, only on invalid parameters, and those raise when the check is
 called, before any scan work starts.
 
-:func:`run_checks` runs several checks at once in up to one worker process
-per usable CPU, each with its own perimeter table; a report's
+The brute-force routes walk the partitions of each perimeter one at a
+time (:func:`_brute_members`); only ``powers-of-two``, whose claim is the
+list itself, builds all 2^(n-1) of them.  :func:`run_checks` runs several
+checks at once in up to one worker process per usable CPU; a report's
 ``elapsed_ms`` is its check's own time inside its worker.
 """
 
@@ -22,7 +24,6 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import chain
-from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .counting import (
@@ -142,35 +143,39 @@ def _brute_series(variables: tuple[str, ...], terms: Iterable[tuple], qbound: in
     return MultiPoly(variables, acc, qbound)
 
 
-def _brute_members(table: tuple[tuple[int, ...], ...], c: ConstraintClass) -> Iterator[tuple[int, ...]]:
-    """Brute-force route: the entries of ``table`` (``parts_by_perimeter(n)``,
-    all 2^(n-1) partitions of perimeter n) that the first-break oracle of
-    ``c`` accepts.
+def _brute_members(n: int, c: ConstraintClass) -> Iterator[tuple[int, ...]]:
+    """Brute-force route: the partitions of perimeter ``n`` that the
+    first-break oracle of ``c`` accepts, in reverse-lexicographic order.
 
-    An entry that breaks the rule at part k shares its length with every
-    entry of the same first part, so every entry with the same first k + 1
-    parts breaks there too.  In the reverse-lexicographic table those
-    entries are contiguous and the walk meets the first of them, whose r
-    remaining parts all equal ``parts[k]``; the block holds one entry per
-    choice of r parts from ``parts[k]`` down to 1, and the walk skips it
-    whole.  Each rejected prefix is thus tested once.
+    The walk holds one partition: a first part a from n down to 1, then
+    n - a more parts from a down to 1.  One that breaks the rule at part k
+    shares its length with every partition of the same first part, so every
+    partition with the same first k + 1 parts breaks there too; those
+    follow it in a block, and the walk steps past the block by lowering the
+    last of parts 1..k above 1 and repeating it to the end, or else by
+    starting the next first part.  A member is a block of one.  Each
+    rejected prefix is thus tested once.
     """
     first_break = c.first_break
-    i, end = 0, len(table)
-    while i < end:
-        parts = table[i]
+    parts = (n,)
+    while True:
         k = first_break(parts)
-        r = len(parts) - k - 1
-        if r < 0:
+        if k == len(parts):
             yield parts
-            i += 1
+            k -= 1
+        while k and parts[k] == 1:
+            k -= 1
+        if k:
+            parts = parts[:k] + (parts[k] - 1,) * (len(parts) - k)
+        elif (a := parts[0] - 1) > 0:
+            parts = (a,) * (n - a + 1)
         else:
-            i += comb(parts[k] - 1 + r, r)
+            return
 
 
-def _brute_count(table: tuple[tuple[int, ...], ...], c: ConstraintClass) -> int:
-    """How many entries of ``table`` :func:`_brute_members` accepts."""
-    return sum(1 for _ in _brute_members(table, c))
+def _brute_count(n: int, c: ConstraintClass) -> int:
+    """How many partitions :func:`_brute_members` yields."""
+    return sum(1 for _ in _brute_members(n, c))
 
 
 def _distinct_by_size(max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -281,9 +286,8 @@ def _scan_euler_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
             f"automaton {mod_one(1)}": count_by_perimeter(n, mod_one(1)),
         }
         if n <= enum_limit:
-            table = parts_by_perimeter(n)
-            routes["enumeration distinct"] = _brute_count(table, DISTINCT)
-            routes["enumeration odd"] = _brute_count(table, ODD)
+            routes["enumeration distinct"] = _brute_count(n, DISTINCT)
+            routes["enumeration odd"] = _brute_count(n, ODD)
         yield from _disagreement({"n": n}, "fibonacci", fibonacci(n), routes)
 
 
@@ -337,9 +341,8 @@ def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
 
 def _scan_refinements(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
-        table = parts_by_perimeter(n)
-        distinct = list(_brute_members(table, DISTINCT))
-        odd = list(_brute_members(table, ODD))
+        distinct = list(_brute_members(n, DISTINCT))
+        odd = list(_brute_members(n, ODD))
         for k in range(0, n + 2):
             cases = [
                 (
@@ -386,7 +389,7 @@ def _parity_split_binomials(n: int) -> tuple[int, int]:
 
 def _parity_split_enumeration(n: int) -> tuple[int, int]:
     """count_parity_split by the brute-force word filter."""
-    odd_flags = [len(parts) & 1 for parts in _brute_members(parts_by_perimeter(n), DISTINCT)]
+    odd_flags = [len(parts) & 1 for parts in _brute_members(n, DISTINCT)]
     odd = sum(odd_flags)
     return len(odd_flags) - odd, odd
 
@@ -451,16 +454,15 @@ def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
 def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
     dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
     for n in range(1, max_n + 1):
-        table = parts_by_perimeter(n)
-        g_set = set(_brute_members(table, gc))
+        g_set = set(_brute_members(n, gc))
         grammar_set = gclass_by_block_grammar(n, d)
         routes = {
-            f"enumeration {mo}": _brute_count(table, mo),
+            f"enumeration {mo}": _brute_count(n, mo),
             f"enumeration {gc}": len(g_set),
             f"automaton {dd}": count_by_perimeter(n, dd),
             f"block grammar {gc}": len(grammar_set),
         }
-        yield from _disagreement({"n": n, "d": d}, "d_distinct", _brute_count(table, dd), routes)
+        yield from _disagreement({"n": n, "d": d}, "d_distinct", _brute_count(n, dd), routes)
         if grammar_set != g_set:
             sample = [list(p) for p in sorted(grammar_set ^ g_set)[:3]]
             yield {"n": n, "d": d, "route": f"block grammar {gc}", "set_difference_sample": sample}
@@ -485,8 +487,7 @@ def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
 
 def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
     expanded = expand(gf_of_class(c), qbound)
-    terms = (((parts[0], len(parts), n), 1)
-             for n in range(1, qbound + 1) for parts in _brute_members(parts_by_perimeter(n), c))
+    terms = (((parts[0], len(parts), n), 1) for n in range(1, qbound + 1) for parts in _brute_members(n, c))
     brute = _brute_series(("x", "y", "q"), terms, qbound)
     if expanded != brute:
         yield {"class": str(c), "versus": "enumeration", **_first_term_difference(expanded, brute)}
@@ -766,7 +767,7 @@ def _scan_congruences(max_n: int, enum_limit: int) -> Iterator[dict]:
             case = {"family": label, "argument": arg, "modulus": modulus, "residue": residue}
             if which == "total":
                 value = fibonacci(arg)
-                routes = {"enumeration": _brute_count(parts_by_perimeter(arg), DISTINCT)} if arg <= enum_limit else {}
+                routes = {"enumeration": _brute_count(arg, DISTINCT)} if arg <= enum_limit else {}
                 yield from _disagreement(case, "h_D", value, routes)
                 if value % modulus != residue:
                     yield {**case, "h_D": value}
@@ -851,12 +852,16 @@ CHECKS: dict[str, Callable[..., TheoremReport]] = {
 
 _D_CHAIN_DEFAULT_RANGE = (1, 2, 3, 4, 5)
 
-# The slowest reports of ``verify all`` at their default depths, slowest
-# first; a pool starts these before the rest, so that no long job starts
-# last.  Measured on 2 CPUs: d-chain at d = 1 and 2 takes 170-180 and
-# 110-120 ms, mostly filling its worker's perimeter table (d >= 3 under
-# 10 ms), powers-of-two 115-140 ms and franklin about 40 ms; every other
-# report takes 10 ms or less.
+# The slowest reports of ``verify all`` at their default depths; a pool
+# starts these before the rest, so that no long job starts last.  Measured
+# on 2 CPUs (four runs; a fifth read all of them about twice as long):
+# powers-of-two takes 240-290 ms, mostly the codec round trip of its 65,535
+# partitions; d-chain at d = 1 140-200 ms, half of it walking the partitions
+# of each perimeter and most of the rest decoding block-grammar words (d = 2
+# 25-45 ms, d >= 3 under 35 ms); franklin 75-100 ms; every other report
+# 35 ms or less.  d-chain still goes first, as its five jobs reach both
+# workers at once: starting powers-of-two first read no faster over ten
+# alternating gate runs (median wall 0.552 s against 0.546 s).
 _LONGEST_FIRST = ("d-chain", "powers-of-two", "franklin")
 
 

@@ -124,24 +124,6 @@ def test_grown_table_matches_decoded_words():
         assert parts_by_perimeter(n) == decoded_table(n), n
 
 
-def test_table_within_cache_limit_is_reused():
-    from hookcomb import counting
-
-    for n in (1, 9, counting._CACHE_PERIMETER_LIMIT):
-        assert parts_by_perimeter(n) is parts_by_perimeter(n), n
-
-
-def test_table_beyond_cache_limit_matches_decoded_words(monkeypatch):
-    from hookcomb import counting
-
-    monkeypatch.setattr(counting, "_CACHE_PERIMETER_LIMIT", 10)
-    for n in (12, 13, 14):
-        table = counting.parts_by_perimeter(n)
-        assert table is not counting._cached_perimeter_table(n)  # built afresh, not cached
-        assert table is not counting.parts_by_perimeter(n)
-        assert table == decoded_table(n), n
-
-
 # ---------------------------------------------------------------------------
 # closed-form counts
 

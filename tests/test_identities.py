@@ -162,15 +162,13 @@ def test_brute_filter_matches_the_membership_test():
     for n in range(1, 17):
         table = parts_by_perimeter(n)
         for c in _all_classes(5):
-            assert list(_brute_members(table, c)) == [p for p in table if parts_are_member(p, c)], (n, str(c))
+            assert list(_brute_members(n, c)) == [p for p in table if parts_are_member(p, c)], (n, str(c))
 
 
 def test_brute_filter_tests_each_rejected_prefix_once():
-    from hookcomb.counting import parts_by_perimeter
     from hookcomb.identities import _all_classes, _brute_members
     from hookcomb.partitions import ConstraintClass
 
-    table = parts_by_perimeter(18)
     for c in _all_classes(5):
         if c.kind == "any":
             continue
@@ -183,9 +181,31 @@ def test_brute_filter_tests_each_rejected_prefix_once():
             return oracle(parts)
 
         vars(fresh)["first_break"] = counted
-        members = sum(1 for _ in _brute_members(table, fresh))
+        members = sum(1 for _ in _brute_members(18, fresh))
         assert members == count_by_perimeter(18, c), str(c)
-        assert calls < len(table) // 10, (str(c), calls)
+        assert calls < (1 << 17) // 10, (str(c), calls)
+
+
+def test_d_chain_brute_force_holds_no_perimeter_table():
+    # a table of every partition of perimeters 1-18 would peak near 31 MB;
+    # the walk holds one partition and the members it keeps, about 1.4 MB.
+    # A fresh interpreter, so that nothing other tests built is counted
+    import subprocess
+    import sys
+
+    from conftest import subprocess_env
+
+    code = (
+        "import tracemalloc\n"
+        "from hookcomb.identities import verify_d_chain\n"
+        "tracemalloc.start()\n"
+        "print(verify_d_chain(1, max_n=18).status, tracemalloc.get_traced_memory()[1])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=subprocess_env())
+    status, peak = out.stdout.split()
+    assert status == "pass"
+    peak_mb = int(peak) / 2**20
+    assert peak_mb < 8, f"verify_d_chain(1, max_n=18) peaked at {peak_mb:.1f} MB"
 
 
 def text_route_partition(b, d):
