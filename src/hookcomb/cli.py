@@ -38,7 +38,6 @@ from .series import expand, gf_of_class
 from .identities import CHECKS, run_checks
 
 DEFAULT_QBOUND = 15
-_ENV_QBOUND = "HOOKCOMB_QBOUND_DEFAULT"
 ENUMERATE_OUTPUT_LIMIT = 1 << 20  # all partitions of perimeter 21; enumerate refuses more
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal stops
 
@@ -90,17 +89,6 @@ def parse_eval_spec(text: str) -> dict[str, int]:
 
 def partition_text(p: Partition) -> str:
     return ",".join(map(str, p.parts))
-
-
-def _env_qbound() -> int | None:
-    """The qbound set by the environment, or None when it is unset or empty."""
-    raw = os.environ.get(_ENV_QBOUND)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_ENV_QBOUND} must be an integer, got {raw!r}") from None
 
 
 def _csv_out(header: list[str], rows: list[list]) -> str:
@@ -159,7 +147,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     lo, hi = args.perimeter
-    if args.split_parity and args.class_spec != DISTINCT:
+    if args.split_parity and args.class_spec.family != DISTINCT.family:
         print("error: --split-parity applies only to --class distinct", file=sys.stderr)
         return 2
     rows = []
@@ -182,9 +170,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    qbound = args.qbound if args.qbound is not None else _env_qbound()
-    if qbound is None:
-        qbound = DEFAULT_QBOUND
+    qbound = args.qbound if args.qbound is not None else DEFAULT_QBOUND
     poly = expand(gf_of_class(args.class_spec), qbound)
     if args.eval:
         poly = poly.substitute(args.eval)
@@ -205,8 +191,7 @@ def _cmd_gf(args) -> int:
 def _cmd_verify(args) -> int:
     overrides = {
         "max_n": args.max_n,
-        # unset, each check keeps its own default qbound
-        "qbound": args.qbound if args.qbound is not None else _env_qbound(),
+        "qbound": args.qbound,  # unset, each check keeps its own default qbound
         "max_size": args.max_size,
         "enum_limit": args.enum_limit,
         "d": args.d,
@@ -339,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gf = subs.add_parser("gf", help="expand the class generating function")
     p_gf.add_argument("--class", dest="class_spec", type=parse_class_spec, default=UNRESTRICTED)
-    p_gf.add_argument("--qbound", type=int, help=f"q-degree cutoff (default {DEFAULT_QBOUND}, or ${_ENV_QBOUND})")
+    p_gf.add_argument("--qbound", type=int, help=f"q-degree cutoff (default {DEFAULT_QBOUND})")
     p_gf.add_argument("--eval", type=parse_eval_spec, help="substitute integers, e.g. x=1,y=-1")
     _add_format(p_gf)
     p_gf.set_defaults(func=_cmd_gf)

@@ -4,9 +4,10 @@ The engine knows a class only through its word automaton with s states
 (:class:`hookcomb.partitions.WordAutomaton`): counts take O(log n) products
 of polynomials of degree at most s, refined counts one walk of n - 1 steps,
 and enumeration a backward walk whose work follows the output.
-:func:`parts_by_perimeter` lists all 2^(n-1) partitions of perimeter n,
-uncached; it, :func:`fibonacci` and :func:`excess_e` are routes the checks
-compare against.
+:func:`parts_by_perimeter` is the brute-force route instead: it walks the
+partitions of perimeter n and keeps those the class's first-break oracle
+accepts, never reading the automaton.  It, :func:`fibonacci` and
+:func:`excess_e` are the routes the checks compare against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import accumulate, combinations_with_replacement, compress, islice, zip_longest
+from itertools import accumulate, compress, islice, zip_longest
 from typing import Iterator
 
 from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton, _unchecked
@@ -65,21 +66,36 @@ def fibonacci(n: int) -> int:
     return a
 
 
-def parts_by_perimeter(n: int) -> tuple[tuple[int, ...], ...]:
-    """All parts tuples with perimeter ``n``, reverse-lexicographic.
+def parts_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> tuple[tuple[int, ...], ...]:
+    """Brute-force route: the partitions of perimeter ``n`` that the
+    first-break oracle of ``c`` accepts, in reverse-lexicographic order; by
+    default all 2^(n-1) of them.
 
-    By definition: a largest part a from n down to 1, then n - a more parts
-    from a down to 1, C(n - 1, n - a) ways for each a.  Built afresh on each
-    call: ``powers-of-two`` checks this list itself, and the other
-    brute-force routes walk the same partitions one at a time.
+    The walk holds one partition: a first part a from n down to 1, then
+    n - a more parts from a down to 1.  One that breaks the rule at part k
+    shares its length with every partition of the same first part, so every
+    partition with the same first k + 1 parts breaks there too; those
+    follow it in a block, and the walk steps past the block by lowering the
+    last of parts 1..k above 1 and repeating it to the end, or else by
+    starting the next first part.  A member is a block of one.  Each
+    rejected prefix is thus tested once.
     """
     if n < 1:
         raise ValueError("perimeter must be at least 1")
-    # combinations_with_replacement of a descending range yields
-    # non-increasing tuples in reverse-lexicographic order
-    return tuple(
-        (a,) + rest for a in range(n, 0, -1) for rest in combinations_with_replacement(range(a, 0, -1), n - a)
-    )
+    first_break, parts, members = c.first_break, (n,), []
+    while True:
+        k = first_break(parts)
+        if k == len(parts):
+            members.append(parts)
+            k -= 1
+        while k and parts[k] == 1:
+            k -= 1
+        if k:
+            parts = parts[:k] + (parts[k] - 1,) * (len(parts) - k)
+        elif (a := parts[0] - 1) > 0:
+            parts = (a,) * (n - a + 1)
+        else:
+            return tuple(members)
 
 
 @lru_cache(maxsize=None)

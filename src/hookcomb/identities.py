@@ -11,11 +11,13 @@ first route that got it wrong.  Checks never raise on a mathematical
 mismatch, only on invalid parameters, and those raise when the check is
 called, before any scan work starts.
 
-The brute-force routes walk the partitions of each perimeter one at a
-time (:func:`_brute_members`); only ``powers-of-two``, whose claim is the
-list itself, builds all 2^(n-1) of them.  :func:`run_checks` runs several
-checks at once in up to one worker process per usable CPU; a report's
-``elapsed_ms`` is its check's own time inside its worker.
+Every brute-force route lists the partitions of a perimeter through one
+enumerator, :func:`hookcomb.counting.parts_by_perimeter`, which walks them
+and keeps the members of a class; ``powers-of-two`` certifies that walk
+on all 2^(n-1) partitions against the boundary-word codec.
+:func:`run_checks` runs several checks at once in up to one worker
+process per usable CPU; a report's ``elapsed_ms`` is its check's own time
+inside its worker.
 """
 
 from __future__ import annotations
@@ -143,41 +145,6 @@ def _brute_series(variables: tuple[str, ...], terms: Iterable[tuple], qbound: in
     return MultiPoly(variables, acc, qbound)
 
 
-def _brute_members(n: int, c: ConstraintClass) -> Iterator[tuple[int, ...]]:
-    """Brute-force route: the partitions of perimeter ``n`` that the
-    first-break oracle of ``c`` accepts, in reverse-lexicographic order.
-
-    The walk holds one partition: a first part a from n down to 1, then
-    n - a more parts from a down to 1.  One that breaks the rule at part k
-    shares its length with every partition of the same first part, so every
-    partition with the same first k + 1 parts breaks there too; those
-    follow it in a block, and the walk steps past the block by lowering the
-    last of parts 1..k above 1 and repeating it to the end, or else by
-    starting the next first part.  A member is a block of one.  Each
-    rejected prefix is thus tested once.
-    """
-    first_break = c.first_break
-    parts = (n,)
-    while True:
-        k = first_break(parts)
-        if k == len(parts):
-            yield parts
-            k -= 1
-        while k and parts[k] == 1:
-            k -= 1
-        if k:
-            parts = parts[:k] + (parts[k] - 1,) * (len(parts) - k)
-        elif (a := parts[0] - 1) > 0:
-            parts = (a,) * (n - a + 1)
-        else:
-            return
-
-
-def _brute_count(n: int, c: ConstraintClass) -> int:
-    """How many partitions :func:`_brute_members` yields."""
-    return sum(1 for _ in _brute_members(n, c))
-
-
 def _distinct_by_size(max_size: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(size, parts) for every distinct-part partition of size 1..max_size."""
     for n in range(1, max_size + 1):
@@ -286,8 +253,8 @@ def _scan_euler_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
             f"automaton {mod_one(1)}": count_by_perimeter(n, mod_one(1)),
         }
         if n <= enum_limit:
-            routes["enumeration distinct"] = _brute_count(n, DISTINCT)
-            routes["enumeration odd"] = _brute_count(n, ODD)
+            routes["enumeration distinct"] = len(parts_by_perimeter(n, DISTINCT))
+            routes["enumeration odd"] = len(parts_by_perimeter(n, ODD))
         yield from _disagreement({"n": n}, "fibonacci", fibonacci(n), routes)
 
 
@@ -332,17 +299,18 @@ def _scan_powers_of_two(max_n: int) -> Iterator[dict]:
 
 
 def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
-    """There are 2^(n-1) partitions with perimeter n: the brute-force table
-    has that many entries, each a distinct boundary word by the codec
-    route, and the automaton count agrees."""
+    """There are 2^(n-1) partitions with perimeter n: the brute-force walk
+    that every other brute-force route runs lists that many, each a
+    distinct boundary word by the codec route, and the automaton count
+    agrees."""
     _require(1, max_n=max_n)
     return _report("powers-of-two", {"max_n": max_n}, _scan_powers_of_two(max_n))
 
 
 def _scan_refinements(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
-        distinct = list(_brute_members(n, DISTINCT))
-        odd = list(_brute_members(n, ODD))
+        distinct = parts_by_perimeter(n, DISTINCT)
+        odd = parts_by_perimeter(n, ODD)
         for k in range(0, n + 2):
             cases = [
                 (
@@ -388,10 +356,10 @@ def _parity_split_binomials(n: int) -> tuple[int, int]:
 
 
 def _parity_split_enumeration(n: int) -> tuple[int, int]:
-    """count_parity_split by the brute-force word filter."""
-    odd_flags = [len(parts) & 1 for parts in _brute_members(n, DISTINCT)]
-    odd = sum(odd_flags)
-    return len(odd_flags) - odd, odd
+    """count_parity_split by the brute-force walk."""
+    distinct = parts_by_perimeter(n, DISTINCT)
+    odd = sum(len(parts) & 1 for parts in distinct)
+    return len(distinct) - odd, odd
 
 
 def _parity_split_routes(n: int, enum_limit: int) -> dict[str, list[int]]:
@@ -454,15 +422,15 @@ def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
 def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
     dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
     for n in range(1, max_n + 1):
-        g_set = set(_brute_members(n, gc))
+        g_set = set(parts_by_perimeter(n, gc))
         grammar_set = gclass_by_block_grammar(n, d)
         routes = {
-            f"enumeration {mo}": _brute_count(n, mo),
+            f"enumeration {mo}": len(parts_by_perimeter(n, mo)),
             f"enumeration {gc}": len(g_set),
             f"automaton {dd}": count_by_perimeter(n, dd),
             f"block grammar {gc}": len(grammar_set),
         }
-        yield from _disagreement({"n": n, "d": d}, "d_distinct", _brute_count(n, dd), routes)
+        yield from _disagreement({"n": n, "d": d}, "d_distinct", len(parts_by_perimeter(n, dd)), routes)
         if grammar_set != g_set:
             sample = [list(p) for p in sorted(grammar_set ^ g_set)[:3]]
             yield {"n": n, "d": d, "route": f"block grammar {gc}", "set_difference_sample": sample}
@@ -487,7 +455,7 @@ def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
 
 def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
     expanded = expand(gf_of_class(c), qbound)
-    terms = (((parts[0], len(parts), n), 1) for n in range(1, qbound + 1) for parts in _brute_members(n, c))
+    terms = (((parts[0], len(parts), n), 1) for n in range(1, qbound + 1) for parts in parts_by_perimeter(n, c))
     brute = _brute_series(("x", "y", "q"), terms, qbound)
     if expanded != brute:
         yield {"class": str(c), "versus": "enumeration", **_first_term_difference(expanded, brute)}
@@ -767,7 +735,7 @@ def _scan_congruences(max_n: int, enum_limit: int) -> Iterator[dict]:
             case = {"family": label, "argument": arg, "modulus": modulus, "residue": residue}
             if which == "total":
                 value = fibonacci(arg)
-                routes = {"enumeration": _brute_count(arg, DISTINCT)} if arg <= enum_limit else {}
+                routes = {"enumeration": len(parts_by_perimeter(arg, DISTINCT))} if arg <= enum_limit else {}
                 yield from _disagreement(case, "h_D", value, routes)
                 if value % modulus != residue:
                     yield {**case, "h_D": value}

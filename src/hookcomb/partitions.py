@@ -14,8 +14,9 @@ Each constraint class also has a minimal automaton on its boundary words
 (:class:`WordAutomaton`), the one representation the counting engine works
 from; :meth:`ConstraintClass.first_break` stays a separate oracle written
 from the class definitions, so the two can check each other.  It returns
-where a parts tuple first breaks the class rule, so the brute-force filter
-can skip every partition that shares the broken prefix.
+where a parts tuple first breaks the class rule, so the brute-force walk
+(:func:`hookcomb.counting.parts_by_perimeter`) can skip every partition
+that shares the broken prefix.
 
 All values are immutable (a word automaton replaces its reach table
 whole) and all functions are pure, so everything in this module is safe

@@ -307,14 +307,12 @@ def test_criterion_11_fibonacci_propositions():
 def test_criterion_12_verify_all_exit_zero():
     from conftest import subprocess_env
 
-    env = subprocess_env()
-    env.pop("HOOKCOMB_QBOUND_DEFAULT", None)  # the transcript is of the default depths
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "hookcomb", "verify", "all"],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(),
     )
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stdout + proc.stderr

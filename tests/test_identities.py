@@ -155,18 +155,31 @@ def test_block_grammar_generation_matches_filter():
 
 
 def test_brute_filter_matches_the_membership_test():
+    # the unfiltered walk is pinned by test_grown_table_matches_decoded_words
     from hookcomb.counting import parts_by_perimeter
-    from hookcomb.identities import _all_classes, _brute_members
+    from hookcomb.identities import _all_classes
     from hookcomb.partitions import parts_are_member
 
     for n in range(1, 17):
         table = parts_by_perimeter(n)
         for c in _all_classes(5):
-            assert list(_brute_members(n, c)) == [p for p in table if parts_are_member(p, c)], (n, str(c))
+            assert parts_by_perimeter(n, c) == tuple(p for p in table if parts_are_member(p, c)), (n, str(c))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_brute_filter_refuses_a_perimeter_below_one(n):
+    # unguarded, the walk would list the non-partition (n,) for several classes
+    from hookcomb.counting import parts_by_perimeter
+    from hookcomb.identities import _all_classes
+
+    for c in _all_classes(5):
+        with pytest.raises(ValueError, match="perimeter must be at least 1"):
+            parts_by_perimeter(n, c)
 
 
 def test_brute_filter_tests_each_rejected_prefix_once():
-    from hookcomb.identities import _all_classes, _brute_members
+    from hookcomb.counting import parts_by_perimeter
+    from hookcomb.identities import _all_classes
     from hookcomb.partitions import ConstraintClass
 
     for c in _all_classes(5):
@@ -181,7 +194,7 @@ def test_brute_filter_tests_each_rejected_prefix_once():
             return oracle(parts)
 
         vars(fresh)["first_break"] = counted
-        members = sum(1 for _ in _brute_members(18, fresh))
+        members = len(parts_by_perimeter(18, fresh))
         assert members == count_by_perimeter(18, c), str(c)
         assert calls < (1 << 17) // 10, (str(c), calls)
 
