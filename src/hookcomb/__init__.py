@@ -30,7 +30,6 @@ from .profile import (
     BLOCK_I,
     BLOCK_II,
     BlockDecomposition,
-    BlockWordNotInClass,
     EmptyWord,
     InvalidLetter,
     MiddleBlock,
@@ -56,10 +55,8 @@ from .counting import (
     enumerate_by_size,
     excess_e,
     fibonacci,
-    q_eo,
 )
 from .series import (
-    ExpansionCheckFailed,
     MultiPoly,
     NonUnitConstantTerm,
     NonUnitDenominator,

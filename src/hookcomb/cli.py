@@ -42,10 +42,6 @@ ENUMERATE_OUTPUT_LIMIT = 1 << 20  # all partitions of perimeter 21; enumerate re
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal stops
 
 
-class TableColumnsDisagree(ArithmeticError):
-    """The equinumerous columns of a worked table have different lengths."""
-
-
 class BadArgument(ValueError, argparse.ArgumentTypeError):
     """A command-line value that does not parse; argparse shows its message."""
 
@@ -250,9 +246,6 @@ def _table_rows(table_id: int) -> tuple[list[str], list[dict]]:
         raise ValueError(f"no table {table_id}; choose 1, 2, 3 or 4")
     rows = []
     for n, cols in groups:
-        lengths = {len(c) for c in cols}
-        if len(lengths) != 1:
-            raise TableColumnsDisagree(f"table {table_id} columns disagree at perimeter {n}")
         for tup in zip(*cols):
             rows.append({"perimeter": n, "columns": list(tup)})
     return header, rows

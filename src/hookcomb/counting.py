@@ -294,17 +294,3 @@ def enumerate_by_size(max_size: int, distinct_only: bool = False) -> Iterator[Pa
         for parts in _gen_by_size(n, n, distinct_only):
             yield _unchecked(parts)
 
-
-def q_eo(r: int, n: int) -> tuple[int, int]:
-    """Distinct-part partitions of size ``n`` with largest part plus number
-    of parts equal to ``r``, split by length parity: (even, odd)."""
-    if r < 1 or n < 1:
-        raise ValueError("r and n must be at least 1")
-    even = odd = 0
-    for parts in partitions_of_size(n, distinct=True):
-        if parts[0] + len(parts) == r:
-            if len(parts) % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-    return even, odd

@@ -14,7 +14,9 @@ called, before any scan work starts.
 Every brute-force route lists the partitions of a perimeter through one
 enumerator, :func:`hookcomb.counting.parts_by_perimeter`, which walks them
 and keeps the members of a class; ``powers-of-two`` certifies that walk
-on all 2^(n-1) partitions against the boundary-word codec.
+on all 2^(n-1) partitions against the boundary-word codec, and
+``gf-coefficients`` compares the engine's ``enumerate_by_perimeter`` with
+it.  The library does not check itself: what it relies on is proven here.
 :func:`run_checks` runs several checks at once in up to one worker
 process per usable CPU; a report's ``elapsed_ms`` is its check's own time
 inside its worker.
@@ -36,6 +38,7 @@ from .counting import (
     count_by_perimeter,
     count_parity_split,
     count_refined,
+    enumerate_by_perimeter,
     excess_e,
     fibonacci,
     partitions_of_size,
@@ -455,16 +458,26 @@ def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
 
 def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
     expanded = expand(gf_of_class(c), qbound)
-    terms = (((parts[0], len(parts), n), 1) for n in range(1, qbound + 1) for parts in parts_by_perimeter(n, c))
+    tables = [parts_by_perimeter(n, c) for n in range(1, qbound + 1)]
+    terms = (((parts[0], len(parts), n), 1) for n, table in enumerate(tables, 1) for parts in table)
     brute = _brute_series(("x", "y", "q"), terms, qbound)
     if expanded != brute:
         yield {"class": str(c), "versus": "enumeration", **_first_term_difference(expanded, brute)}
+    for n, table in enumerate(tables, 1):
+        engine = tuple(p.parts for p in enumerate_by_perimeter(n, c))
+        if engine != table:  # sample both from the first position that differs
+            i = next((i for i, (a, b) in enumerate(zip(engine, table)) if a != b), min(len(engine), len(table)))
+            head = slice(i, i + 3)
+            sample = {"engine": [list(p) for p in engine[head]], "enumeration": [list(p) for p in table[head]]}
+            yield {"class": str(c), "n": n, "versus": "engine enumeration", "index": i, **sample}
 
 
 def verify_gf_coefficients(c: ConstraintClass, qbound: int = 12) -> TheoremReport:
     """The closed rational form for class ``c`` matches, coefficient by
     coefficient in x, y and q, the brute-force sum over enumerated
-    partitions of x^(largest) y^(length) q^(perimeter)."""
+    partitions of x^(largest) y^(length) q^(perimeter); and at each
+    perimeter the engine enumerator lists the brute-force partitions, in
+    the same order."""
     _require(1, qbound=qbound)
     return _report("gf-coefficients", {"class": str(c), "qbound": qbound}, _scan_gf_coefficients(c, qbound))
 
@@ -843,8 +856,9 @@ def _usable_cpus() -> int:
 
 def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     """Run one named check, or all of them; reports sorted by check id
-    (and gap parameter).  Unknown ids raise KeyError; overrides are passed
-    through only to checks that take them.
+    (and gap parameter).  Unknown ids raise KeyError.  Overrides of None
+    are ignored; ``all`` passes the others only to checks that take them,
+    and a named check raises ValueError for any it does not take.
 
     Each check, and d-chain once per gap parameter, is one job.  With more
     than one job and more than one usable CPU, the jobs run in a pool of
@@ -861,6 +875,10 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
         ids = sorted(CHECKS)
     elif check_id in CHECKS:
         ids = [check_id]
+        accepted = inspect.signature(CHECKS[check_id]).parameters
+        unknown = sorted(k for k, v in overrides.items() if v is not None and k not in accepted)
+        if unknown:
+            raise ValueError(f"{check_id} does not take {', '.join(unknown)}")
     else:
         raise KeyError(check_id)
     jobs: list[tuple[str, dict]] = []

@@ -333,14 +333,17 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_all_reduced_depth(capsys):
+    # each flag reaches only the checks that take it: --d only d-chain
     code, out, _ = run(
-        capsys, "verify", "all", "--max-n", "8", "--qbound", "6", "--max-size", "12", "--enum-limit", "8"
+        capsys, "verify", "all", "--max-n", "8", "--qbound", "6", "--max-size", "12", "--enum-limit", "8", "--d", "2"
     )
     assert code == 0
     lines = out.splitlines()
     assert len(lines) >= 10
     assert all(line.startswith("[PASS]") for line in lines)
     assert lines == sorted(lines, key=lambda s: s.split()[1])  # ordered by check id
+    assert [line for line in lines if " d-chain " in line] == ["[PASS] d-chain (d=2 max_n=8)"]
+    assert "[PASS] franklin (max_size=12)" in lines
 
 
 @pytest.mark.parametrize(
@@ -353,6 +356,21 @@ def test_verify_empty_range_exits_2(capsys, argv):
     assert code == 2
     assert "PASS" not in out
     assert "must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "franklin", "--max-n", "3"), "max_n"),
+        (("verify", "fibonacci", "--max-n", "3"), "max_n"),
+        (("verify", "gf-coefficients", "--d", "2"), "d"),
+        (("verify", "d-chain", "--d", "2", "--qbound", "5", "--max-size", "4"), "max_size, qbound"),
+    ],
+    ids=["franklin-max-n", "fibonacci-max-n", "gf-coefficients-d", "d-chain-two-flags"],
+)
+def test_verify_named_check_refuses_a_flag_it_does_not_take(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {argv[1]} does not take {flag}\n")
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -422,19 +440,6 @@ def test_table_4_grouped(capsys):
     assert len(lines) == 18
     assert lines[0] == "1 | 1 | 1"
     assert lines[-1] == "5,3,1 | 7 | 6,4"
-
-
-def test_table_columns_that_disagree_raise(monkeypatch):
-    from hookcomb import cli
-
-    real = cli.enumerate_by_perimeter
-
-    def without_6321(n, c):
-        return [p for p in real(n, c) if p.parts != (6, 3, 2, 1)]
-
-    monkeypatch.setattr(cli, "enumerate_by_perimeter", without_6321)
-    with pytest.raises(cli.TableColumnsDisagree):
-        cli._table_rows(1)
 
 
 def test_table_bad_id(capsys):

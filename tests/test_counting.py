@@ -23,7 +23,6 @@ from hookcomb import (
     g_class,
     is_member,
     mod_one,
-    q_eo,
 )
 from hookcomb.counting import parts_by_perimeter
 from hookcomb.identities import _all_classes
@@ -314,25 +313,6 @@ def test_enumerate_by_size_examples():
     of_five = [p for p in enumerate_by_size(5) if p.size == 5]
     assert len(of_five) == 7
     assert len(set(p.parts for p in enumerate_by_size(8))) == sum(1 for _ in enumerate_by_size(8))
-
-
-def test_q_eo_examples():
-    assert q_eo(6, 7) == (1, 0)  # only (4,3)
-    assert q_eo(2, 1) == (0, 1)  # only (1)
-    assert q_eo(5, 5) == (1, 0)  # only (3,2), which has even length
-
-
-def test_q_eo_brute_force():
-    for n in range(1, 13):
-        for r in range(1, n + 3):
-            even = odd = 0
-            for p in enumerate_by_size(n, distinct_only=True):
-                if p.size == n and p.parts[0] + p.length == r:
-                    if p.length % 2 == 0:
-                        even += 1
-                    else:
-                        odd += 1
-            assert q_eo(r, n) == (even, odd)
 
 
 def test_size_enumeration_respects_distinct_flag():

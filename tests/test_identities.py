@@ -271,6 +271,59 @@ def test_powers_of_two_catches_a_damaged_table(damage, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# negative controls: the library does not check itself, so a fault in it
+# must make the report that covers the claim fail
+
+
+def test_gf_coefficients_catches_an_off_by_q_division(monkeypatch):
+    from hookcomb import series
+
+    real = series._divide
+
+    def off_by_q(num, den, qbound):
+        return real(num, den, qbound) + series.MultiPoly.monomial(den.variables, 1, {"q": 1}, qbound)
+
+    monkeypatch.setattr(series, "_divide", off_by_q)
+    report = verify_gf_coefficients(DISTINCT, qbound=6)
+    assert not report.passed
+    assert report.counterexample["versus"] == "enumeration"
+    assert report.counterexample["monomial"] == {"x": 0, "y": 0, "q": 1}
+
+
+def test_d_chain_catches_a_block_word_outside_the_class(monkeypatch):
+    # spell every block sequence as EEN, the word of (2), which is not in gclass(2)
+    monkeypatch.setattr(identities, "block_word_bits", lambda initial_ns, middles, d: (3, 0b100))
+    report = verify_d_chain(2, max_n=4)
+    assert not report.passed
+    assert report.counterexample["route"] == "block grammar gclass:2"
+    assert report.counterexample["n"] == 1
+
+
+@pytest.mark.parametrize("fault", ["drop-6321", "reverse-order"])
+def test_gf_coefficients_catches_a_faulty_engine_enumeration(fault, monkeypatch):
+    real = identities.enumerate_by_perimeter
+
+    def faulty(n, c):
+        listed = list(real(n, c))
+        if fault == "drop-6321":
+            return [p for p in listed if p.parts != (6, 3, 2, 1)]
+        return listed[::-1] if n == 9 else listed
+
+    monkeypatch.setattr(identities, "enumerate_by_perimeter", faulty)
+    report = verify_gf_coefficients(DISTINCT, qbound=9)
+    assert not report.passed
+    ce = report.counterexample
+    assert (ce["class"], ce["n"], ce["versus"]) == ("distinct", 9, "engine enumeration")
+    if fault == "drop-6321":
+        # (5,4,3,2,1), the last distinct partition of perimeter 9, follows (6,3,2,1)
+        assert ce["enumeration"][:2] == [[6, 3, 2, 1], [5, 4, 3, 2, 1]]
+        assert ce["engine"] == [[5, 4, 3, 2, 1]]
+    else:  # same contents, so only the order differs
+        assert ce["index"] == 0
+        assert (ce["engine"][0], ce["enumeration"][0]) == ([5, 4, 3, 2, 1], [9])
+
+
+# ---------------------------------------------------------------------------
 # series coefficients spot checks
 
 

@@ -5,7 +5,6 @@ from hookcomb import (
     BLOCK_I,
     BLOCK_II,
     BlockDecomposition,
-    BlockWordNotInClass,
     EmptyWord,
     InvalidLetter,
     MiddleBlock,
@@ -136,15 +135,6 @@ def test_blocks_to_partition_examples():
     assert blocks_to_word(single, 2).text == "EEEEN"
     assert blocks_to_partition(single, 2).parts == (4,)
     assert is_member(make_partition([4]), g_class(2))
-
-
-def test_blocks_to_partition_raises_outside_class(monkeypatch):
-    from hookcomb import profile
-
-    # spell every block sequence as EEN, the word of (2), which is not in gclass(2)
-    monkeypatch.setattr(profile, "block_word_bits", lambda initial_ns, middles, d: (3, 0b100))
-    with pytest.raises(BlockWordNotInClass):
-        blocks_to_partition(BlockDecomposition(0, ()), 2)
 
 
 def test_block_alternation_enforced():
