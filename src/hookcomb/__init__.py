@@ -27,12 +27,9 @@ from .partitions import (
     rank,
 )
 from .profile import (
-    BLOCK_I,
-    BLOCK_II,
     BlockDecomposition,
     EmptyWord,
     InvalidLetter,
-    MiddleBlock,
     MustEndWithN,
     MustStartWithE,
     NotInClass,

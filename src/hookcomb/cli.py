@@ -148,11 +148,11 @@ def _cmd_count(args) -> int:
         return 2
     rows = []
     for n in range(lo, hi + 1):
-        row: dict = {"perimeter": n, "count": count_by_perimeter(n, args.class_spec)}
-        if args.split_parity:
+        if args.split_parity:  # a distinct-family class, so the count is even + odd
             even, odd = count_parity_split(n)
-            row.update(even=even, odd=odd, e=excess_e(n))
-        rows.append(row)
+            rows.append({"perimeter": n, "count": even + odd, "even": even, "odd": odd, "e": excess_e(n)})
+        else:
+            rows.append({"perimeter": n, "count": count_by_perimeter(n, args.class_spec)})
     keys = list(rows[0])
     with _unlimited_int_digits():
         if args.format == "json":

@@ -54,14 +54,7 @@ from .partitions import (
     g_class,
     mod_one,
 )
-from .profile import (
-    BLOCK_I,
-    BLOCK_II,
-    MiddleBlock,
-    block_word_bits,
-    parts_from_word_bits,
-    word_bits_from_parts,
-)
+from .profile import block_word_bits, parts_from_word_bits, word_bits_from_parts
 from .series import MultiPoly, RationalGF, expand, gf_of_class, pochhammer, poly_gens, series_inverse
 
 
@@ -397,18 +390,16 @@ def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> Theorem
     return _report("pentagonal-analogue", params, _scan_pentagonal_analogue(max_n, enum_limit))
 
 
-def _block_sequences(budget: int, d: int, kind: str):
-    """All alternating middle-block tuples consuming exactly ``budget``
-    word letters, the next block having the given kind."""
+def _block_sequences(budget: int, d: int):
+    """All tuples of middle-block trailing N counts consuming exactly
+    ``budget`` word letters; every block takes d + 1 letters plus its
+    trailing N's, whatever its type."""
     if budget == 0:
         yield ()
         return
-    if budget < d + 1:
-        return
-    other = BLOCK_II if kind == BLOCK_I else BLOCK_I
     for j in range(budget - d):
-        for rest in _block_sequences(budget - (d + 1) - j, d, other):
-            yield (MiddleBlock(kind, j),) + rest
+        for rest in _block_sequences(budget - (d + 1) - j, d):
+            yield (j,) + rest
 
 
 def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
@@ -417,8 +408,8 @@ def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
     out: set[tuple[int, ...]] = set()
     budget = n - 1  # word length n + 1, minus the initial E and terminal N
     for j0 in range(budget + 1):
-        for middles in _block_sequences(budget - j0, d, BLOCK_I):
-            out.add(parts_from_word_bits(*block_word_bits(j0, middles, d)))
+        for trailing_ns in _block_sequences(budget - j0, d):
+            out.add(parts_from_word_bits(*block_word_bits(j0, trailing_ns, d)))
     return out
 
 
@@ -857,8 +848,8 @@ def _usable_cpus() -> int:
 def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     """Run one named check, or all of them; reports sorted by check id
     (and gap parameter).  Unknown ids raise KeyError.  Overrides of None
-    are ignored; ``all`` passes the others only to checks that take them,
-    and a named check raises ValueError for any it does not take.
+    are ignored; any other that no selected check takes raises ValueError,
+    and ``all`` passes each override only to the checks that take it.
 
     Each check, and d-chain once per gap parameter, is one job.  With more
     than one job and more than one usable CPU, the jobs run in a pool of
@@ -875,16 +866,16 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
         ids = sorted(CHECKS)
     elif check_id in CHECKS:
         ids = [check_id]
-        accepted = inspect.signature(CHECKS[check_id]).parameters
-        unknown = sorted(k for k, v in overrides.items() if v is not None and k not in accepted)
-        if unknown:
-            raise ValueError(f"{check_id} does not take {', '.join(unknown)}")
     else:
         raise KeyError(check_id)
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    accepted = {cid: inspect.signature(CHECKS[cid]).parameters for cid in ids}
+    unknown = sorted(set(overrides).difference(*accepted.values()))
+    if unknown:
+        raise ValueError(f"{check_id} does not take {', '.join(unknown)}")
     jobs: list[tuple[str, dict]] = []
     for cid in ids:
-        accepted = set(inspect.signature(CHECKS[cid]).parameters)
-        kwargs = {k: v for k, v in overrides.items() if k in accepted and v is not None}
+        kwargs = {k: v for k, v in overrides.items() if k in accepted[cid]}
         if cid == "d-chain":
             ds = [kwargs.pop("d")] if "d" in kwargs else list(_D_CHAIN_DEFAULT_RANGE)
             jobs.extend((cid, {"d": d, **kwargs}) for d in ds)

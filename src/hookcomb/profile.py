@@ -10,6 +10,11 @@ faithful code for the partitions with perimeter n.
 Words are stored as packed bits (bit i set means letter i is N) so that
 iterating over all words of a given length is just counting; they render as
 plain E/N text.
+
+A word of the class ``g_class(d)`` splits as an initial block E N^k, middle
+blocks of types I (``E^{d+1} N^j``) and II (``N E^d N^j``) that alternate
+starting with I, and a terminal N.  A :class:`BlockDecomposition` stores
+only the N counts k and j, since a middle block's type is its position.
 """
 
 from __future__ import annotations
@@ -144,47 +149,23 @@ def from_profile(w: ProfileWord | str) -> Partition:
     return Partition(parts_from_word_bits(w.length, w.bits))
 
 
-BLOCK_I = "I"
-BLOCK_II = "II"
-
-
-@dataclass(frozen=True)
-class MiddleBlock:
-    """One middle block of the grammar: its kind and its trailing N count.
-
-    Kind I spells ``E^{d+1} N^j``; kind II spells ``N E^d N^j``.
-    """
-
-    kind: str
-    trailing_ns: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (BLOCK_I, BLOCK_II):
-            raise ValueError(f"block kind must be 'I' or 'II', got {self.kind!r}")
-        if self.trailing_ns < 0:
-            raise ValueError("trailing N count must be non-negative")
-
-
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """A word split as initial block, alternating middles, terminal N.
+    """A word split as initial block, middle blocks, terminal N.
 
-    The initial block is a single E followed by ``initial_ns`` Ns; middle
-    blocks strictly alternate kinds I, II, I, ... starting with I; the
-    terminal single N is implicit.
+    The initial block is a single E followed by ``initial_ns`` N's; the
+    terminal single N is implicit.  Middle block i spells ``E^{d+1} N^j``
+    (type I) when i is even and ``N E^d N^j`` (type II) when i is odd, with
+    j = ``trailing_ns[i]``: the grammar's types alternate I, II, I, ...
+    starting with I, so a block's type is its position.
     """
 
     initial_ns: int
-    middles: tuple[MiddleBlock, ...]
+    trailing_ns: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.initial_ns < 0:
-            raise ValueError("initial N count must be non-negative")
-        expected = BLOCK_I
-        for blk in self.middles:
-            if blk.kind != expected:
-                raise ValueError("middle blocks must alternate I, II, I, ... starting with I")
-            expected = BLOCK_II if expected == BLOCK_I else BLOCK_I
+        if self.initial_ns < 0 or any(j < 0 for j in self.trailing_ns):
+            raise ValueError("N counts must be non-negative")
 
 
 def decompose_blocks(w: ProfileWord | str, d: int) -> BlockDecomposition:
@@ -194,8 +175,9 @@ def decompose_blocks(w: ProfileWord | str, d: int) -> BlockDecomposition:
     ``g_class(d)``.  The parse is a single left-to-right pass: the initial block
     absorbs every N before the first middle E run, and the forced I/II
     alternation then fixes each split (a type II block claims the last N of
-    the run preceding its E's).  Raises :class:`NotInClass` with the first
-    letter index where the grammar fails.
+    the run preceding its E's).  Each middle block contributes its trailing
+    N count.  Raises :class:`NotInClass` with the first letter index where
+    the grammar fails.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -207,24 +189,22 @@ def decompose_blocks(w: ProfileWord | str, d: int) -> BlockDecomposition:
     while i < body_len and text[i] == "N":
         initial_ns += 1
         i += 1
-    middles: list[MiddleBlock] = []
-    kind = BLOCK_I
+    trailing_ns: list[int] = []
     while i < body_len:
-        # Kind I needs d+1 E's here; kind II needs d E's (its leading N was
+        type_ii = len(trailing_ns) % 2 == 1
+        # Type I needs d+1 E's here; type II needs d E's (its leading N was
         # reclaimed from the previous block's trailing run below).
-        for _ in range(d + 1 if kind == BLOCK_I else d):
+        for _ in range(d if type_ii else d + 1):
             if i >= body_len or text[i] != "E":
-                raise NotInClass(
-                    f"expected 'E' at index {min(i, w.length - 1)} continuing a type {kind} block",
-                    position=min(i, w.length - 1),
-                )
+                at = min(i, w.length - 1)
+                kind = "II" if type_ii else "I"
+                raise NotInClass(f"expected 'E' at index {at} continuing a type {kind} block", position=at)
             i += 1
         trailing = 0
         while i < body_len and text[i] == "N":
             trailing += 1
             i += 1
-        next_kind = BLOCK_II if kind == BLOCK_I else BLOCK_I
-        if i < body_len and next_kind == BLOCK_II:
+        if i < body_len and not type_ii:
             # Another E run follows and the alternation says it belongs to a
             # type II block, which must be introduced by one N.
             if trailing == 0:
@@ -232,23 +212,24 @@ def decompose_blocks(w: ProfileWord | str, d: int) -> BlockDecomposition:
                     f"expected 'N' at index {i} opening a type II block", position=i
                 )
             trailing -= 1
-        middles.append(MiddleBlock(kind, trailing))
-        kind = next_kind
-    return BlockDecomposition(initial_ns, tuple(middles))
+        trailing_ns.append(trailing)
+    return BlockDecomposition(initial_ns, tuple(trailing_ns))
 
 
-def block_word_bits(initial_ns: int, middles: Iterable[MiddleBlock], d: int) -> tuple[int, int]:
+def block_word_bits(initial_ns: int, trailing_ns: Iterable[int], d: int) -> tuple[int, int]:
     """(word length, packed word bits) spelled by an initial block with
-    ``initial_ns`` N's, the ``middles`` and the terminal N, for parameter
-    ``d`` (assumed valid)."""
+    ``initial_ns`` N's, middle blocks with the ``trailing_ns`` counts and
+    the terminal N, for parameter ``d`` (assumed valid).  Every middle
+    block takes d + 1 letters before its trailing N's; an odd-indexed
+    (type II) block opens with an N."""
     pos = 1 + initial_ns  # the initial E, then its N's
     bits = ((1 << initial_ns) - 1) << 1
-    for blk in middles:
-        if blk.kind == BLOCK_II:
+    for i, j in enumerate(trailing_ns):
+        if i % 2:
             bits |= 1 << pos
-        pos += d + 1  # E^{d+1} for kind I, N E^d for kind II
-        bits |= ((1 << blk.trailing_ns) - 1) << pos
-        pos += blk.trailing_ns
+        pos += d + 1  # E^{d+1} for type I, N E^d for type II
+        bits |= ((1 << j) - 1) << pos
+        pos += j
     return pos + 1, bits | (1 << pos)
 
 
@@ -256,7 +237,7 @@ def blocks_to_word(b: BlockDecomposition, d: int) -> ProfileWord:
     """Spell the word of ``b`` for parameter ``d``."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return ProfileWord(*block_word_bits(b.initial_ns, b.middles, d))
+    return ProfileWord(*block_word_bits(b.initial_ns, b.trailing_ns, d))
 
 
 def blocks_to_partition(b: BlockDecomposition, d: int) -> Partition:

@@ -4,7 +4,6 @@ import json
 import pytest
 
 from hookcomb import (
-    BLOCK_I,
     CHECKS,
     BlockDecomposition,
     InvalidD,
@@ -15,6 +14,7 @@ from hookcomb import (
     count_by_perimeter,
     count_parity_split,
     d_distinct,
+    decompose_blocks,
     enumerate_by_size,
     franklin,
     from_profile,
@@ -224,9 +224,9 @@ def test_d_chain_brute_force_holds_no_perimeter_table():
 def text_route_partition(b, d):
     """The block spelling as E/N text, decoded through the word wrappers."""
     pieces = ["E", "N" * b.initial_ns]
-    for blk in b.middles:
-        head = "E" * (d + 1) if blk.kind == BLOCK_I else "N" + "E" * d
-        pieces.append(head + "N" * blk.trailing_ns)
+    for i, j in enumerate(b.trailing_ns):
+        head = "N" + "E" * d if i % 2 else "E" * (d + 1)  # type II at odd positions
+        pieces.append(head + "N" * j)
     text = "".join(pieces) + "N"
     return text, from_profile(text).parts
 
@@ -238,10 +238,11 @@ def test_block_grammar_matches_text_route(d):
     for n in range(1, 15):
         expected = set()
         for j0 in range(n):
-            for middles in _block_sequences(n - 1 - j0, d, BLOCK_I):
-                b = BlockDecomposition(j0, middles)
+            for trailing_ns in _block_sequences(n - 1 - j0, d):
+                b = BlockDecomposition(j0, trailing_ns)
                 text, parts = text_route_partition(b, d)
                 assert blocks_to_word(b, d).text == text
+                assert decompose_blocks(blocks_to_word(b, d), d) == b
                 assert blocks_to_partition(b, d).parts == parts
                 expected.add(parts)
         assert gclass_by_block_grammar(n, d) == expected, (n, d)
@@ -292,7 +293,7 @@ def test_gf_coefficients_catches_an_off_by_q_division(monkeypatch):
 
 def test_d_chain_catches_a_block_word_outside_the_class(monkeypatch):
     # spell every block sequence as EEN, the word of (2), which is not in gclass(2)
-    monkeypatch.setattr(identities, "block_word_bits", lambda initial_ns, middles, d: (3, 0b100))
+    monkeypatch.setattr(identities, "block_word_bits", lambda initial_ns, trailing_ns, d: (3, 0b100))
     report = verify_d_chain(2, max_n=4)
     assert not report.passed
     assert report.counterexample["route"] == "block grammar gclass:2"
@@ -490,8 +491,10 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
         # congruences comes before d-chain in report order, and needs 6
         ({"max_n": 0}, ValueError, "max_n must be at least 6, got 0"),
         ({"d": 0}, InvalidD, "d must be a positive integer"),
+        # a misspelt override must not leave every check at its default depth
+        ({"max_nn": 3}, ValueError, "all does not take max_nn"),
     ],
-    ids=["max-n-0", "d-0"],
+    ids=["max-n-0", "d-0", "max-nn-misspelt"],
 )
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_run_checks_raises_what_the_serial_order_raises(cpus, overrides, error, message, monkeypatch):

@@ -2,12 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hookcomb import (
-    BLOCK_I,
-    BLOCK_II,
     BlockDecomposition,
     EmptyWord,
     InvalidLetter,
-    MiddleBlock,
     MustEndWithN,
     MustStartWithE,
     NotInClass,
@@ -105,11 +102,7 @@ def test_random_word_roundtrip(length, data):
 def test_decompose_figure_word():
     b = decompose_blocks(FIG_WORD, 2)
     assert b.initial_ns == 3
-    assert b.middles == (
-        MiddleBlock(BLOCK_I, 0),
-        MiddleBlock(BLOCK_II, 3),
-        MiddleBlock(BLOCK_I, 1),
-    )
+    assert b.trailing_ns == (0, 3, 1)  # types I, II, I
     assert blocks_to_word(b, 2).text == FIG_WORD
     assert blocks_to_partition(b, 2).parts == FIG_PARTS
 
@@ -117,7 +110,7 @@ def test_decompose_figure_word():
 def test_decompose_trivial_word():
     b = decompose_blocks("EN", 2)
     assert b.initial_ns == 0
-    assert b.middles == ()
+    assert b.trailing_ns == ()
 
 
 def test_decompose_rejects_pure_column():
@@ -128,24 +121,20 @@ def test_decompose_rejects_pure_column():
 
 
 def test_blocks_to_partition_examples():
-    fig = BlockDecomposition(3, (MiddleBlock(BLOCK_I, 0), MiddleBlock(BLOCK_II, 3), MiddleBlock(BLOCK_I, 1)))
+    fig = BlockDecomposition(3, (0, 3, 1))
     assert blocks_to_partition(fig, 2).parts == FIG_PARTS
     assert blocks_to_partition(BlockDecomposition(0, ()), 1).parts == (1,)
-    single = BlockDecomposition(0, (MiddleBlock(BLOCK_I, 0),))
+    single = BlockDecomposition(0, (0,))
     assert blocks_to_word(single, 2).text == "EEEEN"
     assert blocks_to_partition(single, 2).parts == (4,)
     assert is_member(make_partition([4]), g_class(2))
 
 
-def test_block_alternation_enforced():
+def test_block_counts_must_be_non_negative():
     with pytest.raises(ValueError):
-        BlockDecomposition(0, (MiddleBlock(BLOCK_II, 0),))
+        BlockDecomposition(0, (-1,))
     with pytest.raises(ValueError):
-        BlockDecomposition(1, (MiddleBlock(BLOCK_I, 0), MiddleBlock(BLOCK_I, 1)))
-    with pytest.raises(ValueError):
-        MiddleBlock("III", 0)
-    with pytest.raises(ValueError):
-        MiddleBlock(BLOCK_I, -1)
+        BlockDecomposition(-1, ())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
