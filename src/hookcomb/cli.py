@@ -76,6 +76,8 @@ def parse_eval_spec(text: str) -> dict[str, int]:
         name = name.strip()
         if not sep or name not in ("x", "y", "q"):
             raise BadArgument(f"bad eval assignment {piece!r}")
+        if name in out:
+            raise BadArgument(f"repeated eval assignment {piece!r}")
         try:
             out[name] = int(val)
         except ValueError:

@@ -181,8 +181,8 @@ class ConstraintClass:
         class rule fails, or its length for a member.  The rule at part i
         reads ``parts[i - 1]`` and ``parts[i]``; for ``gclass`` the rule at
         the last part also reads the gap to the virtual trailing 0.
-        Resolved from the family on first use so that per-word calls skip
-        the dispatch."""
+        Resolved from the family on first use so that the calls, one per
+        partition tested, skip the dispatch."""
         return _first_break_of(self)
 
     @cached_property

@@ -7,9 +7,8 @@ a partition with perimeter n gives a word of length n + 1 (one E per column
 of the first row, one N per part).  This makes the words of length n + 1 a
 faithful code for the partitions with perimeter n.
 
-Words are stored as packed bits (bit i set means letter i is N) so that
-iterating over all words of a given length is just counting; they render as
-plain E/N text.
+Words are stored as packed bits (bit i set means letter i is N), so a word
+is one int; they render as plain E/N text.
 
 A word of the class ``g_class(d)`` splits as an initial block E N^k, middle
 blocks of types I (``E^{d+1} N^j``) and II (``N E^d N^j``) that alternate

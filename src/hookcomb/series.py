@@ -258,48 +258,45 @@ class MultiPoly:
     def substitute(self, assignment: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves.
 
-        Integer values are taken as constants.  All polynomial values must
-        share one variable tuple, which becomes the result's tuple (it
-        defaults to this polynomial's own tuple).
-        """
-        target: tuple[str, ...] | None = None
+        Each value is an int or a polynomial of at most one term c*m (a
+        longer one raises ValueError), so a term with exponent e in the
+        variable maps to one term, times c^e and shifted by e*m.  Polynomial
+        values share one variable tuple, the result's (by default this
+        polynomial's own).  The result keeps the smallest bound among this
+        polynomial and the polynomial values whose variable occurs."""
+        target = next((v.variables for v in assignment.values() if isinstance(v, MultiPoly)), self.variables)
         for v in assignment.values():
             if isinstance(v, MultiPoly):
-                if target is None:
-                    target = v.variables
-                elif v.variables != target:
+                if v.variables != target:
                     raise VariableMismatch("substitution images use differing variable tuples")
-        if target is None:
-            target = self.variables
-        images: dict[str, MultiPoly] = {}
-        for name in self.variables:
-            if name in assignment:
-                val = assignment[name]
-                images[name] = (
-                    MultiPoly.constant(val, target, self.qbound) if isinstance(val, int) else val
-                )
-            else:
+                if len(v._terms) > 1:
+                    raise ValueError(f"a substitution value must be a single term, got {v.text()}")
+            elif type(v) is not int:
+                raise TypeError(f"a substitution value must be an int or a MultiPoly, got {type(v).__name__}")
+        zero = (0,) * len(target)
+        bound = self.qbound
+        images: list[tuple[int, tuple[int, ...]]] = []  # each variable's image c*m as (c, m); () for m = 1
+        for i, name in enumerate(self.variables):
+            if name not in assignment:
                 if name not in target:
                     raise VariableMismatch(f"variable {name!r} is unassigned and missing from the target")
-                images[name] = MultiPoly.monomial(target, 1, {name: 1}, self.qbound)
-        # sum every term's image into one map; the result keeps the
-        # smallest bound among this polynomial and the images it used
-        bound = self.qbound
+                images.append((1, tuple([int(v == name) for v in target])))
+            elif type(val := assignment[name]) is int:
+                images.append((val, ()))
+            else:
+                ((m, c),) = val._terms.items() or (((), 0),)
+                images.append((c, m))
+                if any(exps[i] for exps in self._terms):
+                    bound = _min_bound(bound, val.qbound)
         out: dict[tuple[int, ...], int] = {}
-        powers: dict[tuple[str, int], MultiPoly] = {}
         for exps, coeff in self._terms.items():
-            term = None
-            for name, e in zip(self.variables, exps):
+            vec = zero
+            for (c, m), e in zip(images, exps):
                 if e:
-                    key = (name, e)
-                    if key not in powers:
-                        powers[key] = images[name] ** e
-                    term = powers[key] if term is None else term * powers[key]
-            if term is None:
-                term = MultiPoly.constant(1, target, self.qbound)
-            bound = _min_bound(bound, term.qbound)
-            for e, c in term.scale(coeff)._terms.items():
-                out[e] = out.get(e, 0) + c
+                    coeff *= c**e
+                    if m:
+                        vec = tuple([a + e * b for a, b in zip(vec, m)])
+            out[vec] = out.get(vec, 0) + coeff
         qi = target.index("q")
         return _unchecked(target, _truncated(out, qi, bound), bound, qi)
 

@@ -52,6 +52,7 @@ def test_parse_class_spec_reads_back_every_class_name():
         (["count", "--perimeter", "3", "--class", "prime"], "'prime'"),
         (["enumerate", "--perimeter", "3", "--class", "ddistinct:0"], "'ddistinct:0'"),
         (["gf", "--eval", "z=1"], "'z=1'"),
+        (["gf", "--qbound", "2", "--eval", "x=1,x=2"], "'x=2'"),
     ],
 )
 def test_bad_arguments_are_named_on_stderr(capsys, argv, named):
@@ -72,10 +73,9 @@ def test_parse_range():
 
 def test_parse_eval_spec():
     assert parse_eval_spec("x=1,y=-1") == {"x": 1, "y": -1}
-    with pytest.raises(ValueError):
-        parse_eval_spec("z=1")
-    with pytest.raises(ValueError):
-        parse_eval_spec("x=one")
+    for bad in ("z=1", "x=one", "x=1,x=2"):
+        with pytest.raises(ValueError):
+            parse_eval_spec(bad)
 
 
 # ---------------------------------------------------------------------------

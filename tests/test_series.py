@@ -253,11 +253,69 @@ def test_substitute_signed_counts():
         assert series.coefficient({"q": n}) == excess_e(n)
 
 
+@pytest.mark.parametrize(
+    "assignment, text",
+    [
+        ({"x": 0}, "0"),
+        ({"q": 2}, "2*x*y + 4*x^2*y + 8*x^2*y^2 + 8*x^3*y + 32*x^3*y^2 + 32*x^3*y^3 + 16*x^4*y + 96*x^4*y^2 + 32*x^5*y"),
+        ({"x": 3, "y": -2, "q": 1}, "282"),
+    ],
+)
+def test_substitute_integers(assignment, text):
+    assert expand(gf_of_class(DISTINCT), 5).substitute(assignment).text() == text
+
+
 def test_substitute_into_other_ring():
     p = m3(1, 2, 1, 1)  # x^2 y q
     y = MultiPoly.monomial(("y", "q"), 1, {"y": 1})
     got = p.substitute({"x": y, "y": y.scale(-1)})
     assert got == MultiPoly.monomial(("y", "q"), -1, {"y": 3, "q": 1})
+    # the zero polynomial maps like the int 0
+    zero = MultiPoly.zero(("y", "q"))
+    assert p.substitute({"x": zero, "y": y}) == zero
+    assert (p + m3(5)).substitute({"x": zero, "y": y}) == MultiPoly.constant(5, ("y", "q"))
+
+
+@pytest.mark.parametrize(
+    "assignment, error",
+    [
+        ({"x": m3(1) + m3(1, 0, 1)}, ValueError),
+        ({"x": True}, TypeError),
+        ({"x": 0.5}, TypeError),
+        ({"x": m3(1, 0, 1), "y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, VariableMismatch),
+        ({"y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, VariableMismatch),  # x is unassigned
+    ],
+)
+def test_substitute_refuses_bad_values(assignment, error):
+    with pytest.raises(error):
+        m3(1, 2, 1, 1).substitute(assignment)
+
+
+def test_substitute_bound_comes_from_values_that_occur():
+    p = m3(1, 1, 0, 1, qbound=10) + m3(1, 1, 0, 6, qbound=10)  # x q + x q^6
+    short_y = m3(1, 0, 1, qbound=4)
+    got = p.substitute({"x": short_y})
+    assert got == m3(1, 0, 1, 1) and got.qbound == 4  # y q^6 falls past the bound
+    assert p.substitute({"y": short_y}) == p and p.substitute({"y": short_y}).qbound == 10
+
+
+def test_substitute_multiplies_no_polynomials(monkeypatch):
+    series = expand(gf_of_class(g_class(2)), 20)
+    want = series.substitute({"x": m3(1, 0, 1), "y": m3(-1, 0, 1), "q": 2})
+
+    def refuse(*_):
+        raise AssertionError("substitute multiplied polynomials")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(MultiPoly, "__pow__", refuse)
+    assert series.substitute({"x": m3(1, 0, 1), "y": m3(-1, 0, 1), "q": 2}) == want
+    assert series.substitute({"x": 2, "y": 3}).qbound == 20
+
+
+def test_substitute_matches_closed_form_of_any():
+    # G_any = xyq / (1 - (x + y) q), so x = 2, y = 3 gives 6 * 5^(n-1) at q^n
+    series = expand(gf_of_class(UNRESTRICTED), 40).substitute({"x": 2, "y": 3})
+    assert series == MultiPoly(V3, {(0, 0, n): 6 * 5 ** (n - 1) for n in range(1, 41)}, 40)
 
 
 # ---------------------------------------------------------------------------
