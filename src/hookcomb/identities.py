@@ -55,7 +55,7 @@ from .partitions import (
     mod_one,
 )
 from .profile import block_word_bits, parts_from_word_bits, word_bits_from_parts
-from .series import MultiPoly, RationalGF, expand, gf_of_class, pochhammer, poly_gens, series_inverse
+from .series import MultiPoly, RationalGF, expand, gf_of_class, pochhammer, poly_gens
 
 
 class NotDistinct(ValueError):
@@ -493,17 +493,23 @@ def verify_gf_all(qbound: int = 12, max_d: int = 5) -> TheoremReport:
 # q-series identities
 
 
+def _quotient_sum(
+    variables: tuple[str, ...], qbound: int, summands: Iterable[tuple[MultiPoly, MultiPoly]]
+) -> MultiPoly:
+    """The sum of num / den over the (numerator, Pochhammer denominator)
+    pairs ``summands``, each one divided once to q-degree ``qbound``."""
+    return sum((expand(RationalGF(num, den), qbound) for num, den in summands), MultiPoly.zero(variables, qbound))
+
+
 def _series_andrews_lhs(qbound: int) -> MultiPoly:
     """sum_{n>=0} (-1)^n y^(2n) q^(n(n+1)/2) / ((yq; q)_n), truncated."""
     V = ("y", "q")
     yq = MultiPoly.monomial(V, 1, {"y": 1, "q": 1}, qbound)
-    total = MultiPoly.constant(1, V, qbound)
-    n = 1
-    while n * (n + 1) // 2 <= qbound:
-        head = MultiPoly.monomial(V, (-1) ** n, {"y": 2 * n, "q": n * (n + 1) // 2}, qbound)
-        total = total + head * series_inverse(pochhammer(yq, n, qbound), qbound)
-        n += 1
-    return total
+    summands = (
+        (MultiPoly.monomial(V, (-1) ** n, {"y": 2 * n, "q": n * (n + 1) // 2}, qbound), pochhammer(yq, n, qbound))
+        for n in range(qbound + 1) if n * (n + 1) // 2 <= qbound
+    )
+    return _quotient_sum(V, qbound, summands)
 
 
 def _series_andrews_middle(qbound: int) -> MultiPoly:
@@ -550,13 +556,11 @@ def _series_refined_lhs(qbound: int) -> MultiPoly:
     """sum_{n>=1} x^n y^n q^(n(n+1)/2) / ((xq; q)_n), truncated."""
     V = ("x", "y", "q")
     xq = MultiPoly.monomial(V, 1, {"x": 1, "q": 1}, qbound)
-    total = MultiPoly.zero(V, qbound)
-    n = 1
-    while n * (n + 1) // 2 <= qbound:
-        head = MultiPoly.monomial(V, 1, {"x": n, "y": n, "q": n * (n + 1) // 2}, qbound)
-        total = total + head * series_inverse(pochhammer(xq, n, qbound), qbound)
-        n += 1
-    return total
+    summands = (
+        (MultiPoly.monomial(V, 1, {"x": n, "y": n, "q": n * (n + 1) // 2}, qbound), pochhammer(xq, n, qbound))
+        for n in range(1, qbound + 1) if n * (n + 1) // 2 <= qbound
+    )
+    return _quotient_sum(V, qbound, summands)
 
 
 def _series_refined_middle(qbound: int) -> MultiPoly:
@@ -572,20 +576,16 @@ def _series_refined_rhs(qbound: int) -> MultiPoly:
     xq = MultiPoly.monomial(V, 1, {"x": 1, "q": 1}, qbound)
     neg_yq = MultiPoly.monomial(V, -1, {"y": 1, "q": 1}, qbound)
     one = MultiPoly.constant(1, V, qbound)
-    total = MultiPoly.zero(V, qbound)
-    n = 1
-    while n * (3 * n - 1) // 2 <= qbound:
-        head = MultiPoly.monomial(V, 1, {"x": 2 * n - 1, "y": n, "q": n * (3 * n - 1) // 2}, qbound)
-        tail = one + MultiPoly.monomial(V, 1, {"x": 1, "y": 1, "q": 2 * n}, qbound)
-        term = (
+    summands = (
+        (
             pochhammer(neg_yq, n - 1, qbound)
-            * head
-            * tail
-            * series_inverse(pochhammer(xq, n, qbound), qbound)
+            * MultiPoly.monomial(V, 1, {"x": 2 * n - 1, "y": n, "q": n * (3 * n - 1) // 2}, qbound)
+            * (one + MultiPoly.monomial(V, 1, {"x": 1, "y": 1, "q": 2 * n}, qbound)),
+            pochhammer(xq, n, qbound),
         )
-        total = total + term
-        n += 1
-    return total
+        for n in range(1, qbound + 1) if n * (3 * n - 1) // 2 <= qbound
+    )
+    return _quotient_sum(V, qbound, summands)
 
 
 def _max_distinct_size_for_perimeter(g: int) -> int:
@@ -663,34 +663,23 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
     beta = m(b=1, q=1)
     tau = m(b=1, t=1, q=1)
     ratio = m(a=1, t=1, q=2)  # alpha * tau * q / beta
-    one = m()
-    lhs = MultiPoly.zero(V, qbound)
-    n = 0
-    while n <= qbound:  # the n-th summand starts at q^n
-        term = (
-            pochhammer(alpha, n, qbound)
-            * series_inverse(pochhammer(beta, n, qbound), qbound)
-            * tau**n
-        )
-        lhs = lhs + term
-        n += 1
-    rhs = MultiPoly.zero(V, qbound)
-    n = 0
-    while n * n + n <= qbound:  # the n-th summand starts at q^(n^2 + n)
-        head = (
+    # sum_{n>=0} (alpha)_n tau^n / (beta)_n; the n-th summand starts at q^n
+    lhs = ((pochhammer(alpha, n, qbound) * tau**n, pochhammer(beta, n, qbound)) for n in range(qbound + 1))
+    # sum_{n>=0} (alpha)_n (ratio)_n beta^n tau^n q^(n^2 - n) (1 - alpha tau q^(2n))
+    # / ((beta)_n (tau)_(n+1)); the n-th summand starts at q^(n^2 + n)
+    rhs = (
+        (
             pochhammer(alpha, n, qbound)
             * pochhammer(ratio, n, qbound)
-            * (beta**n)
-            * (tau**n)
+            * beta**n
+            * tau**n
             * m(q=n * n - n)
-            * (one - alpha * tau * m(q=2 * n))
+            * (m() - alpha * tau * m(q=2 * n)),
+            pochhammer(beta, n, qbound) * pochhammer(tau, n + 1, qbound),
         )
-        den = series_inverse(pochhammer(beta, n, qbound), qbound) * series_inverse(
-            pochhammer(tau, n + 1, qbound), qbound
-        )
-        rhs = rhs + head * den
-        n += 1
-    return lhs, rhs
+        for n in range(qbound + 1) if n * n + n <= qbound
+    )
+    return _quotient_sum(V, qbound, lhs), _quotient_sum(V, qbound, rhs)
 
 
 def _scan_rogers_fine(qbound: int) -> Iterator[dict]:
@@ -826,14 +815,15 @@ _D_CHAIN_DEFAULT_RANGE = (1, 2, 3, 4, 5)
 
 # The slowest reports of ``verify all`` at their default depths; a pool
 # starts these before the rest, so that no long job starts last.  Measured
-# on 2 CPUs (four runs; a fifth read all of them about twice as long):
-# powers-of-two takes 240-290 ms, mostly the codec round trip of its 65,535
-# partitions; d-chain at d = 1 140-200 ms, half of it walking the partitions
-# of each perimeter and most of the rest decoding block-grammar words (d = 2
-# 25-45 ms, d >= 3 under 35 ms); franklin 75-100 ms; every other report
-# 35 ms or less.  d-chain still goes first, as its five jobs reach both
-# workers at once: starting powers-of-two first read no faster over ten
-# alternating gate runs (median wall 0.552 s against 0.546 s).
+# on 2 CPUs (five runs of ``verify all --format json``): powers-of-two takes
+# 280-320 ms, mostly the codec round trip of its 65,535 partitions; d-chain
+# at d = 1 95-215 ms, half of it walking the partitions of each perimeter
+# and most of the rest decoding block-grammar words (d = 2 25-35 ms, d >= 3
+# under 15 ms); franklin 55-100 ms; every other report 55 ms or less, the
+# longest of them gf-coefficients.  d-chain still goes first, as its five
+# jobs reach both workers at once: starting powers-of-two first read no
+# faster over ten alternating gate runs (median wall 0.552 s against
+# 0.546 s).
 _LONGEST_FIRST = ("d-chain", "powers-of-two", "franklin")
 
 

@@ -256,7 +256,8 @@ class MultiPoly:
         return MultiPoly(self.variables, self._terms, qbound)
 
     def substitute(self, assignment: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
-        """Simultaneous substitution; unassigned variables map to themselves.
+        """Simultaneous substitution; unassigned variables map to themselves,
+        and a key that is no variable here raises :class:`VariableMismatch`.
 
         Each value is an int or a polynomial of at most one term c*m (a
         longer one raises ValueError), so a term with exponent e in the
@@ -273,6 +274,9 @@ class MultiPoly:
                     raise ValueError(f"a substitution value must be a single term, got {v.text()}")
             elif type(v) is not int:
                 raise TypeError(f"a substitution value must be an int or a MultiPoly, got {type(v).__name__}")
+        unknown = set(assignment).difference(self.variables)
+        if unknown:
+            raise VariableMismatch(f"unknown variables {sorted(unknown)}")
         zero = (0,) * len(target)
         bound = self.qbound
         images: list[tuple[int, tuple[int, ...]]] = []  # each variable's image c*m as (c, m); () for m = 1
@@ -388,16 +392,22 @@ def series_inverse(p: MultiPoly, qbound: int | None = None) -> MultiPoly:
     return _divide(MultiPoly.constant(1, p.variables, bound), p, bound)
 
 
+def _unit_constant(p: MultiPoly) -> bool:
+    """Whether the q-degree-0 part of ``p`` is exactly the constant 1."""
+    return {e: c for e, c in p._terms.items() if e[p._qi] == 0} == {(0,) * len(p.variables): 1}
+
+
 def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
     """The quotient num / den to q-degree ``qbound``, layer by layer in q:
     r_j = num_j - (den_1 r_(j-1) + ... + den_j r_0), where den_i is the
     q-degree-i part of ``den``, whose q-degree-0 part must be exactly 1.
     Only the few layers that den has are visited."""
+    _require_int(qbound, "qbound")
     if qbound < 0:
         raise ValueError("qbound must be non-negative")
-    variables, qi = den.variables, den._qi
-    if {e: c for e, c in den._terms.items() if e[qi] == 0} != {(0,) * len(variables): 1}:
+    if not _unit_constant(den):
         raise NonUnitConstantTerm("the q-degree-0 part must be exactly 1")
+    variables, qi = den.variables, den._qi
     rest = {e: c for e, c in den._terms.items() if 0 < e[qi] <= qbound}
     reach = max((max(e) * qbound // e[qi] for e in rest), default=0)
     width = (max(map(max, num._terms), default=0) + reach).bit_length()
@@ -455,19 +465,16 @@ class RationalGF:
     def __post_init__(self) -> None:
         if self.numerator.variables != self.denominator.variables:
             raise VariableMismatch("numerator and denominator must share variables")
-        qi = self.denominator.variables.index("q")
-        zero_vec = (0,) * len(self.denominator.variables)
-        q0 = {e: c for e, c in self.denominator.terms.items() if e[qi] == 0}
-        if q0 != {zero_vec: 1}:
+        if not _unit_constant(self.denominator):
             raise NonUnitDenominator("denominator must have q-degree-0 part exactly 1")
 
 
 def expand(gf: RationalGF, qbound: int) -> MultiPoly:
     """Power-series expansion of ``gf`` truncated at q-degree ``qbound``:
-    the one layered division of the numerator by the denominator.  The gate
-    proves it: ``gf-coefficients`` against brute force for every class,
+    the one layered division of the GF's own polynomials.  The gate proves
+    it: ``gf-coefficients`` against brute force for every class,
     ``pentagonal-analogue`` and ``refined-identity`` on their series."""
-    return _divide(gf.numerator.with_qbound(qbound), gf.denominator.with_qbound(qbound), qbound)
+    return _divide(gf.numerator, gf.denominator, qbound)
 
 
 def gf_of_class(c: ConstraintClass) -> RationalGF:

@@ -44,8 +44,10 @@ from hookcomb.identities import (
     _series_andrews_rhs,
     gclass_by_block_grammar,
     regrade_limit,
+    rogers_fine_sides,
 )
 from hookcomb.partitions import DISTINCT, g_class, is_member
+from hookcomb.series import MultiPoly
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +352,33 @@ def test_rogers_fine_low_order_coefficients():
         assert side.coefficient({"q": 1}) == 0
         assert side.coefficient({"b": 1, "t": 1, "q": 1}) == 1
         assert side.coefficient({"a": 1, "q": 1}) == 0
+
+
+def test_series_identities_invert_no_series(monkeypatch):
+    from hookcomb import series
+
+    def refuse(*_):
+        raise AssertionError("an identity inverted a series")
+
+    monkeypatch.setattr(series, "series_inverse", refuse)
+    # the identities module should not hold the name at all
+    monkeypatch.setattr(identities, "series_inverse", refuse, raising=False)
+    for report in (verify_andrews_identity(), verify_refined_identity(), verify_rogers_fine()):
+        assert report.status == "pass", report.check_id
+
+
+@pytest.mark.parametrize("qbound", [1, 2, 5, 8, 12])
+def test_rogers_fine_at_a_equal_b_is_geometric(qbound):
+    # a = b makes alpha = beta, so the left side is sum tau^n; the right
+    # side must then be the same sum
+    V = ("a", "b", "t", "q")
+    b = MultiPoly.monomial(V, 1, {"b": 1})
+    want = MultiPoly.zero(V, qbound)
+    for n in range(qbound + 1):
+        want = want + MultiPoly.monomial(V, 1, {"b": n, "t": n, "q": n}, qbound)
+    for side in rogers_fine_sides(qbound):
+        got = side.substitute({"a": b})
+        assert got == want and got.qbound == qbound
 
 
 def test_regrade_limit_values():

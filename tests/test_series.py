@@ -284,6 +284,7 @@ def test_substitute_into_other_ring():
         ({"x": 0.5}, TypeError),
         ({"x": m3(1, 0, 1), "y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, VariableMismatch),
         ({"y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, VariableMismatch),  # x is unassigned
+        ({"X": 1, "y": 1}, VariableMismatch),  # X is not a variable
     ],
 )
 def test_substitute_refuses_bad_values(assignment, error):
