@@ -145,12 +145,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     lo, hi = args.perimeter
-    if args.split_parity and args.class_spec.family != DISTINCT.family:
+    if args.split_parity and args.class_spec.rule != DISTINCT.rule:
         print("error: --split-parity applies only to --class distinct", file=sys.stderr)
         return 2
     rows = []
     for n in range(lo, hi + 1):
-        if args.split_parity:  # a distinct-family class, so the count is even + odd
+        if args.split_parity:  # a class with the rule of distinct, so the count is even + odd
             even, odd = count_parity_split(n)
             rows.append({"perimeter": n, "count": even + odd, "even": even, "odd": odd, "e": excess_e(n)})
         else:

@@ -10,11 +10,12 @@ The library's own enumerators and :func:`conjugate` build parts that are
 valid by construction and wrap them with :func:`_unchecked`, which skips
 that check; it is private because its caller must guarantee validity.
 
-Each constraint class also has a minimal automaton on its boundary words
+Every class but ``gclass`` is one rule (g, m), :attr:`ConstraintClass.rule`.
+Each class has a minimal automaton on its boundary words
 (:class:`WordAutomaton`), the one representation the counting engine works
 from; :meth:`ConstraintClass.first_break` stays a separate oracle written
-from the class definitions, so the two can check each other.  It returns
-where a parts tuple first breaks the class rule, so the brute-force walk
+from the class rule, so the two can check each other.  It returns where a
+parts tuple first breaks the class rule, so the brute-force walk
 (:func:`hookcomb.counting.parts_by_perimeter`) can skip every partition
 that shares the broken prefix.
 
@@ -128,9 +129,9 @@ def make_partition(parts: Sequence[int] | Iterable[int]) -> Partition:
     return Partition(tuple(parts))
 
 
-# kind -> (family, d), with d None where the class takes it as a parameter
-_FAMILIES = {"any": ("gap", 0), "distinct": ("gap", 1), "odd": ("residue", 1),
-             "ddistinct": ("gap", None), "modone": ("residue", None), "gclass": ("gclass", None)}
+# kind -> its rule (g, m), or that rule as a function of d; None for gclass
+_RULES = {"any": (0, 1), "distinct": (1, 1), "odd": (0, 2),
+          "ddistinct": lambda d: (d, 1), "modone": lambda d: (0, d + 1), "gclass": None}
 
 
 @dataclass(frozen=True)
@@ -149,17 +150,16 @@ class ConstraintClass:
                      mod ``2d + 1``.
 
     Only this class reads ``kind``; the rest of the library reads
-    :attr:`family`, where ``any`` is the gap family at d = 0 and
-    ``distinct`` and ``odd`` are ``ddistinct`` and ``modone`` at d = 1.
+    :attr:`rule`, or :attr:`d` for ``gclass``.
     """
 
     kind: str
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILIES:
+        if self.kind not in _RULES:
             raise ValueError(f"unknown constraint class {self.kind!r}")
-        if _FAMILIES[self.kind][1] is not None:
+        if isinstance(_RULES[self.kind], tuple):
             if self.d is not None:
                 raise ValueError(f"class {self.kind!r} takes no parameter")
         elif not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
@@ -169,11 +169,11 @@ class ConstraintClass:
         return self.kind if self.d is None else f"{self.kind}:{self.d}"
 
     @property
-    def family(self) -> tuple[str, int]:
-        """``(family, d)``: the ``"gap"``, ``"residue"`` or ``"gclass"`` rule
-        of the class, and its gap parameter."""
-        family, d = _FAMILIES[self.kind]
-        return family, self.d if d is None else d
+    def rule(self) -> tuple[int, int] | None:
+        """``(g, m)``: consecutive parts differ by at least g and every part
+        is 1 mod m; ``None`` for ``gclass``, whose readers take :attr:`d`."""
+        rule = _RULES[self.kind]
+        return rule(self.d) if callable(rule) else rule
 
     @cached_property
     def first_break(self) -> Callable[[tuple[int, ...]], int]:
@@ -181,7 +181,7 @@ class ConstraintClass:
         class rule fails, or its length for a member.  The rule at part i
         reads ``parts[i - 1]`` and ``parts[i]``; for ``gclass`` the rule at
         the last part also reads the gap to the virtual trailing 0.
-        Resolved from the family on first use so that the calls, one per
+        Resolved from the rule on first use so that the calls, one per
         partition tested, skip the dispatch."""
         return _first_break_of(self)
 
@@ -224,42 +224,31 @@ def parts_are_member(parts: tuple[int, ...], c: ConstraintClass) -> bool:
 
 def _first_break_of(c: ConstraintClass) -> Callable[[tuple[int, ...]], int]:
     """The first-break oracle of class ``c`` on a raw parts tuple, with the
-    constants of its family bound.  The loops count parts by hand: most
+    constants of its rule bound.  The loops count parts by hand: most
     tuples break within two parts, where building an ``enumerate`` costs
     about as much as the test."""
-    family, d = c.family
-    if family == "gap":
-        if d == 0:  # every partition: no part breaks the rule
+    if c.rule is not None:
+        g, m = c.rule
+        if g == 0 and m == 1:  # every partition: no part breaks the rule
             return len
+        r = 1 % m
 
-        def gaps_at_least_d(parts: tuple[int, ...]) -> int:
-            prev, i = parts[0] + d, 0
+        def gaps_and_residues(parts: tuple[int, ...]) -> int:
+            prev, i = parts[0] + g, 0
             for x in parts:
-                if prev - x < d:
+                if prev - x < g or x % m != r:
                     return i
                 prev = x
                 i += 1
             return i
 
-        return gaps_at_least_d
-    if family == "residue":
-        m = d + 1
-
-        def residues_one(parts: tuple[int, ...]) -> int:
-            i = 0
-            for x in parts:
-                if x % m != 1:
-                    return i
-                i += 1
-            return i
-
-        return residues_one
+        return gaps_and_residues
     # residue-and-gap: each part must leave a residue 1 or d + 2 mod 2d + 1,
     # and the gap to the next part (or to the virtual trailing 0) is at most
     # 2d + 1, strictly less at residue 1; ``low`` is the smallest next part,
     # and a last part too far above 0 breaks the rule where it stands
-    mod = 2 * d + 1
-    alt = (d + 2) % mod
+    mod = 2 * c.d + 1
+    alt = (c.d + 2) % mod
 
     def residues_and_gaps(parts: tuple[int, ...]) -> int:
         low = i = 0
@@ -295,16 +284,18 @@ class WordAutomaton:
 
 @lru_cache(maxsize=None)
 def _automaton_of(c: ConstraintClass) -> WordAutomaton:
-    """The minimal word automaton of class ``c``: d + 1 states for the gap
-    and residue families (one state at gap d = 0) and 2d + 2 for the
-    residue-and-gap family."""
-    family, d = c.family
-    if family == "gap":
-        # state: the E's since the last N, capped at d; an N needs d of them
-        return WordAutomaton(d, tuple(min(s + 1, d) for s in range(d + 1)), (-1,) * d + (0,))
-    if family == "residue":
-        # state: the E count mod d + 1; an N needs residue 1
-        return WordAutomaton(1, tuple((s + 1) % (d + 1) for s in range(d + 1)), (-1, 1) + (-1,) * (d - 1))
+    """The minimal word automaton of class ``c``: (g + 1) m states for the
+    rule (g, m), which is d + 1 for ``ddistinct:d`` and ``modone:d`` and
+    one for ``any``, and 2d + 2 for ``gclass:d``."""
+    if c.rule is not None:
+        # state k m + e: k = the E's since the last N, capped at g, and e = the
+        # E count mod m; an N needs k = g and e = 1 mod m, and resets k
+        g, m = c.rule
+        states = range((g + 1) * m)
+        on_e = tuple(min(s // m + 1, g) * m + (s + 1) % m for s in states)
+        on_n = tuple(s % m if s // m == g and s % m == 1 % m else -1 for s in states)
+        return WordAutomaton(g * m + 1 % m, on_e, on_n)
+    d = c.d
     # residue-and-gap, residues mod 2d + 1: s = the E's since the last N, plus d if that
     # part (or the start) is 1; an N makes a part d + 2 at s = 0, 2d + 1 and 1 at s = d.
     top, states = 2 * d + 1, range(2 * d + 2)

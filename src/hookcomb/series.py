@@ -483,7 +483,8 @@ def gf_of_class(c: ConstraintClass) -> RationalGF:
 
     Each form reads off the boundary word: the first E and last N give the
     factor x*y*q, and the middle letters contribute the geometric factor in
-    the denominator (for the gap classes, block-by-block).
+    the denominator: under the rule (g, m), runs E^m and blocks N*E^gap,
+    where gap = m*ceil(g/m) is the least difference of two parts.
     """
     V = ("x", "y", "q")
 
@@ -492,12 +493,12 @@ def gf_of_class(c: ConstraintClass) -> RationalGF:
 
     one = m(1)
     xyq = m(1, 1, 1, 1)
-    family, d = c.family
-    if family == "gap":
-        return RationalGF(xyq, one - m(1, 1, 0, 1) - m(1, d, 1, d + 1))
-    if family == "residue":
-        return RationalGF(xyq, one - m(1, 0, 1, 1) - m(1, d + 1, 0, d + 1))
+    if c.rule is not None:
+        g, mod = c.rule
+        gap = mod * -(-g // mod)
+        return RationalGF(xyq, one - m(1, mod, 0, mod) - m(1, gap, 1, gap + 1))
     # residue-and-gap
+    d = c.d
     num = xyq * (one - m(1, 0, 1, 1) + m(1, d + 1, 0, d + 1))
     den = one - m(2, 0, 1, 1) + m(1, 0, 2, 2) - m(1, 2 * d + 1, 1, 2 * d + 2)
     return RationalGF(num, den)

@@ -304,13 +304,15 @@ def test_gap_classes_against_definition_oracles(d):
         assert is_member(p, g_class(d)) == gclass_definition_oracle(p.parts, d)
 
 
-def test_family_resolves_the_aliases():
-    assert UNRESTRICTED.family == ("gap", 0)
-    assert DISTINCT.family == d_distinct(1).family == ("gap", 1)
-    assert ODD.family == mod_one(1).family == ("residue", 1)
-    assert g_class(4).family == ("gclass", 4)
+def test_rule_resolves_the_aliases():
+    assert UNRESTRICTED.rule == (0, 1)
+    assert DISTINCT.rule == d_distinct(1).rule == (1, 1)
+    assert ODD.rule == mod_one(1).rule == (0, 2)
+    assert d_distinct(4).rule == (4, 1)
+    assert mod_one(4).rule == (0, 5)
+    assert g_class(4).rule is None
     with pytest.raises(AttributeError):
-        DISTINCT.family = ("gap", 2)
+        DISTINCT.rule = (2, 1)
 
 
 @pytest.mark.parametrize("alias, c", [(DISTINCT, d_distinct(1)), (ODD, mod_one(1))], ids=str)
@@ -330,6 +332,73 @@ def test_first_break_names_the_part_that_breaks_the_rule():
     assert d_distinct(2).first_break((8, 5, 4)) == 2
     assert mod_one(2).first_break((7, 4, 2, 1)) == 2
     assert UNRESTRICTED.first_break((3, 3, 3)) == 3
+
+
+def part_breaks_definition(parts, i, c):
+    # does part i break the definition of class c?  It reads parts[i - 1]
+    # and parts[i], and for gclass at the last part also the trailing 0
+    x = parts[i]
+    gap = parts[i - 1] - x if i else None
+    if c.kind == "any":
+        return False
+    if c.kind == "distinct":
+        return gap == 0
+    if c.kind == "odd":
+        return x % 2 == 0
+    if c.kind == "ddistinct":
+        return gap is not None and gap < c.d
+    if c.kind == "modone":
+        return x % (c.d + 1) != 1
+    mod = 2 * c.d + 1
+
+    def too_far(above, below):
+        return above - below >= mod if above % mod == 1 else above - below > mod
+
+    return (
+        x % mod not in (1, (c.d + 2) % mod)
+        or (gap is not None and too_far(parts[i - 1], x))
+        or (i == len(parts) - 1 and too_far(x, 0))
+    )
+
+
+@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+def test_first_break_is_the_first_part_that_breaks_the_definition(c):
+    # the brute-force walk skips every partition that shares the prefix up
+    # to the index first_break returns, so the index itself must be exact
+    for n in range(1, 13):
+        for p in enumerate_by_perimeter(n):
+            parts = p.parts
+            want = next((i for i in range(len(parts)) if part_breaks_definition(parts, i, c)), len(parts))
+            assert c.first_break(parts) == want, parts
+
+
+def moore_classes(a):
+    # Moore refinement over the live states and a dead sink (index -1):
+    # every live state accepts, the sink does not and loops on both letters
+    states = list(range(len(a.on_e))) + [-1]
+    block = {s: s >= 0 for s in states}
+    while True:
+        key = {s: (block[s], block[a.on_e[s] if s >= 0 else -1], block[a.on_n[s] if s >= 0 else -1]) for s in states}
+        if len(set(key.values())) == len(set(block.values())):
+            return len(set(block.values()))
+        block = key
+
+
+@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+def test_every_automaton_is_minimal(c):
+    a = c.automaton
+    d = c.d or 1  # distinct and odd are the classes at d = 1
+    want = 1 if c == UNRESTRICTED else 2 * d + 2 if c.kind == "gclass" else d + 1
+    assert len(a.on_e) == len(a.on_n) == want
+    seen, todo = {a.start}, [a.start]
+    while todo:
+        s = todo.pop()
+        for t in (a.on_e[s], a.on_n[s]):
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    assert seen == set(range(want))  # every state is reachable
+    assert moore_classes(a) == want + 1  # no two states, the sink included, merge
 
 
 def test_member_test_is_bound_lazily_and_pickles():

@@ -356,6 +356,25 @@ def test_gclass_gf_example_shape():
     assert gf.denominator == den
 
 
+def paper_denominators():
+    # the paper's gap and residue denominators, 1 - xq - x^d y q^(d+1) and
+    # 1 - yq - x^(d+1) q^(d+1), with any, distinct and odd at their d
+    forms = [(UNRESTRICTED, m3(1) - m3(1, 1, 0, 1) - m3(1, 0, 1, 1)),
+             (DISTINCT, m3(1) - m3(1, 1, 0, 1) - m3(1, 1, 1, 2)),
+             (ODD, m3(1) - m3(1, 0, 1, 1) - m3(1, 2, 0, 2))]
+    for d in range(1, 6):
+        forms.append((d_distinct(d), m3(1) - m3(1, 1, 0, 1) - m3(1, d, 1, d + 1)))
+        forms.append((mod_one(d), m3(1) - m3(1, 0, 1, 1) - m3(1, d + 1, 0, d + 1)))
+    return [pytest.param(c, den, id=str(c)) for c, den in forms]
+
+
+@pytest.mark.parametrize("c, den", paper_denominators())
+def test_rule_closed_forms_are_the_papers(c, den):
+    gf = gf_of_class(c)
+    assert gf.numerator == m3(1, 1, 1, 1)
+    assert gf.denominator == den
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_gclass_collapses_to_gap_series(d):
     # at x = y = 1 the gclass form reduces to q / (1 - q - q^(d+1))
