@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, Iterator
 
 from .counting import (
@@ -55,7 +55,7 @@ from .partitions import (
     mod_one,
 )
 from .profile import block_word_bits, parts_from_word_bits, word_bits_from_parts
-from .series import MultiPoly, RationalGF, expand, gf_of_class, pochhammer, poly_gens
+from .series import MultiPoly, RationalGF, expand, gf_of_class, poly_gens
 
 
 class NotDistinct(ValueError):
@@ -493,23 +493,41 @@ def verify_gf_all(qbound: int = 12, max_d: int = 5) -> TheoremReport:
 # q-series identities
 
 
-def _quotient_sum(
-    variables: tuple[str, ...], qbound: int, summands: Iterable[tuple[MultiPoly, MultiPoly]]
-) -> MultiPoly:
-    """The sum of num / den over the (numerator, Pochhammer denominator)
-    pairs ``summands``, each one divided once to q-degree ``qbound``."""
-    return sum((expand(RationalGF(num, den), qbound) for num, den in summands), MultiPoly.zero(variables, qbound))
+def _nested_sum(qbound: int, levels: Iterable[tuple[MultiPoly, MultiPoly, MultiPoly]]) -> MultiPoly:
+    """c_0 + r_0 (c_1 + r_1 (c_2 + ...)) to q-degree ``qbound``, over the
+    levels (c_n, num_n, den_n), where r_n = num_n / den_n, den_n is a series
+    unit and num_n has q-valuation at least 1.
+
+    The nesting ends at the first level n whose product r_0 ... r_(n-1)
+    has q-valuation above ``qbound``, as everything inside it vanishes
+    there.  Each level is one division, of num_n times the inner sum by
+    den_n, truncated at ``qbound``: the inner sum is known to ``qbound``,
+    so that level is too."""
+    _require(0, qbound=qbound)
+    kept = []
+    depth = 0  # q-valuation of r_0 ... r_(n-1)
+    for c, num, den in levels:
+        if depth > qbound:
+            break
+        kept.append((c, num, den))
+        qi = num.variables.index("q")
+        depth += min((e[qi] for e in num.terms), default=qbound + 1)  # num is 0 to the bound
+    inner = kept.pop()[0]
+    for c, num, den in reversed(kept):
+        inner = expand(RationalGF(num * inner, den), qbound) + c
+    return inner
 
 
 def _series_andrews_lhs(qbound: int) -> MultiPoly:
-    """sum_{n>=0} (-1)^n y^(2n) q^(n(n+1)/2) / ((yq; q)_n), truncated."""
+    """sum_{n>=0} (-1)^n y^(2n) q^(n(n+1)/2) / ((yq; q)_n), truncated: each
+    term is the one before times -y^2 q^(n+1) / (1 - y q^(n+1))."""
     V = ("y", "q")
-    yq = MultiPoly.monomial(V, 1, {"y": 1, "q": 1}, qbound)
-    summands = (
-        (MultiPoly.monomial(V, (-1) ** n, {"y": 2 * n, "q": n * (n + 1) // 2}, qbound), pochhammer(yq, n, qbound))
-        for n in range(qbound + 1) if n * (n + 1) // 2 <= qbound
-    )
-    return _quotient_sum(V, qbound, summands)
+    one = MultiPoly.constant(1, V, qbound)
+
+    def m(coeff: int = 1, **exps: int) -> MultiPoly:
+        return MultiPoly.monomial(V, coeff, exps, qbound)
+
+    return _nested_sum(qbound, ((one, m(-1, y=2, q=n + 1), one - m(y=1, q=n + 1)) for n in count()))
 
 
 def _series_andrews_middle(qbound: int) -> MultiPoly:
@@ -553,14 +571,17 @@ def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
 
 
 def _series_refined_lhs(qbound: int) -> MultiPoly:
-    """sum_{n>=1} x^n y^n q^(n(n+1)/2) / ((xq; q)_n), truncated."""
+    """sum_{n>=1} x^n y^n q^(n(n+1)/2) / ((xq; q)_n), truncated: x y q / (1 - x q)
+    times the sum whose terms are each the one before times
+    x y q^(n+1) / (1 - x q^(n+1)), n >= 1."""
     V = ("x", "y", "q")
-    xq = MultiPoly.monomial(V, 1, {"x": 1, "q": 1}, qbound)
-    summands = (
-        (MultiPoly.monomial(V, 1, {"x": n, "y": n, "q": n * (n + 1) // 2}, qbound), pochhammer(xq, n, qbound))
-        for n in range(1, qbound + 1) if n * (n + 1) // 2 <= qbound
-    )
-    return _quotient_sum(V, qbound, summands)
+    one = MultiPoly.constant(1, V, qbound)
+
+    def m(**exps: int) -> MultiPoly:
+        return MultiPoly.monomial(V, 1, exps, qbound)
+
+    levels = ((one, m(x=1, y=1, q=n + 1), one - m(x=1, q=n + 1)) for n in count(1))
+    return expand(RationalGF(m(x=1, y=1, q=1) * _nested_sum(qbound, levels), one - m(x=1, q=1)), qbound)
 
 
 def _series_refined_middle(qbound: int) -> MultiPoly:
@@ -571,21 +592,20 @@ def _series_refined_middle(qbound: int) -> MultiPoly:
 
 def _series_refined_rhs(qbound: int) -> MultiPoly:
     """sum_{n>=1} (-yq; q)_(n-1) x^(2n-1) y^n q^(n(3n-1)/2) (1 + x y q^(2n))
-    / ((xq; q)_n), truncated."""
+    / ((xq; q)_n), truncated: x y q / (1 - x q) times
+    c_1 + r_1 (c_2 + r_2 (...)) with c_n = 1 + x y q^(2n) and
+    r_n = (1 + y q^n) x^2 y q^(3n+1) / (1 - x q^(n+1))."""
     V = ("x", "y", "q")
-    xq = MultiPoly.monomial(V, 1, {"x": 1, "q": 1}, qbound)
-    neg_yq = MultiPoly.monomial(V, -1, {"y": 1, "q": 1}, qbound)
     one = MultiPoly.constant(1, V, qbound)
-    summands = (
-        (
-            pochhammer(neg_yq, n - 1, qbound)
-            * MultiPoly.monomial(V, 1, {"x": 2 * n - 1, "y": n, "q": n * (3 * n - 1) // 2}, qbound)
-            * (one + MultiPoly.monomial(V, 1, {"x": 1, "y": 1, "q": 2 * n}, qbound)),
-            pochhammer(xq, n, qbound),
-        )
-        for n in range(1, qbound + 1) if n * (3 * n - 1) // 2 <= qbound
+
+    def m(**exps: int) -> MultiPoly:
+        return MultiPoly.monomial(V, 1, exps, qbound)
+
+    levels = (
+        (one + m(x=1, y=1, q=2 * n), (one + m(y=1, q=n)) * m(x=2, y=1, q=3 * n + 1), one - m(x=1, q=n + 1))
+        for n in count(1)
     )
-    return _quotient_sum(V, qbound, summands)
+    return expand(RationalGF(m(x=1, y=1, q=1) * _nested_sum(qbound, levels), one - m(x=1, q=1)), qbound)
 
 
 def _max_distinct_size_for_perimeter(g: int) -> int:
@@ -652,34 +672,37 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
     The substitution is the loosest one that keeps three free parameters
     while making every coefficient a polynomial: beta = bq restores series
     invertibility of 1/(beta)_n, and tau = btq turns alpha*tau*q/beta into
-    the monomial a*t*q^2.
+    the monomial a*t*q^2.  Each side is a nested sum of its term ratios,
+    so every level divides by one or two binomials 1 - (monomial) and no
+    Pochhammer product is formed.
     """
     V = ("a", "b", "t", "q")
 
     def m(coeff: int = 1, **exps: int) -> MultiPoly:
         return MultiPoly.monomial(V, coeff, exps, qbound)
 
+    one = m()
     alpha = m(a=1, q=1)
     beta = m(b=1, q=1)
     tau = m(b=1, t=1, q=1)
     ratio = m(a=1, t=1, q=2)  # alpha * tau * q / beta
-    # sum_{n>=0} (alpha)_n tau^n / (beta)_n; the n-th summand starts at q^n
-    lhs = ((pochhammer(alpha, n, qbound) * tau**n, pochhammer(beta, n, qbound)) for n in range(qbound + 1))
+    # sum_{n>=0} (alpha)_n tau^n / (beta)_n: term n+1 is term n times
+    # (1 - alpha q^n) tau / (1 - beta q^n)
+    lhs = ((one, (one - alpha * m(q=n)) * tau, one - beta * m(q=n)) for n in count())
     # sum_{n>=0} (alpha)_n (ratio)_n beta^n tau^n q^(n^2 - n) (1 - alpha tau q^(2n))
-    # / ((beta)_n (tau)_(n+1)); the n-th summand starts at q^(n^2 + n)
+    # / ((beta)_n (tau)_(n+1)) is 1 / (1 - tau) times the sum of
+    # (alpha)_n (ratio)_n (beta tau)^n q^(n^2 - n) / ((beta)_n (tau q)_n) c_n,
+    # c_n = 1 - alpha tau q^(2n), whose term n+1 is term n times
+    # (1 - alpha q^n) (1 - ratio q^n) beta tau q^(2n) / ((1 - beta q^n) (1 - tau q^(n+1)))
     rhs = (
         (
-            pochhammer(alpha, n, qbound)
-            * pochhammer(ratio, n, qbound)
-            * beta**n
-            * tau**n
-            * m(q=n * n - n)
-            * (m() - alpha * tau * m(q=2 * n)),
-            pochhammer(beta, n, qbound) * pochhammer(tau, n + 1, qbound),
+            one - alpha * tau * m(q=2 * n),
+            (one - alpha * m(q=n)) * (one - ratio * m(q=n)) * beta * tau * m(q=2 * n),
+            (one - beta * m(q=n)) * (one - tau * m(q=n + 1)),
         )
-        for n in range(qbound + 1) if n * n + n <= qbound
+        for n in count()
     )
-    return _quotient_sum(V, qbound, lhs), _quotient_sum(V, qbound, rhs)
+    return _nested_sum(qbound, lhs), expand(RationalGF(_nested_sum(qbound, rhs), one - tau), qbound)
 
 
 def _scan_rogers_fine(qbound: int) -> Iterator[dict]:

@@ -27,8 +27,9 @@ into the next one:
   to the q-degree over those terms; adding the numerator's largest
   exponent bounds every partial sum of the layered division.
 
-Keys are packed on entry and unpacked into exponent tuples on exit; the
-public term map stays keyed by tuples.
+Keys are packed on entry and unpacked into exponent tuples on exit, one
+variable's column of exponents at a time; the public term map stays
+keyed by tuples.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from operator import lshift
+from itertools import chain, compress, repeat
+from operator import add, and_, lshift, rshift
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -77,15 +78,27 @@ def _shifts(n: int, qi: int, width: int) -> tuple[int, ...]:
 
 
 def _packed(terms: Mapping[tuple[int, ...], int], shifts: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(sum(map(lshift, e, shifts)), c) for e, c in terms.items()]
+    """The (key, coefficient) pairs of a term map, packed one variable's
+    column of exponents at a time."""
+    keys: Iterable[int] = repeat(0)
+    for column, shift in zip(zip(*terms), shifts):
+        keys = map(add, keys, map(lshift, column, repeat(shift)))
+    return list(zip(keys, terms.values()))
 
 
-def _unpacked(
-    pairs: Iterable[tuple[int, int]], shifts: tuple[int, ...], width: int
-) -> dict[tuple[int, ...], int]:
-    """The term map of packed (key, coefficient) pairs, zeros dropped."""
-    mask = (1 << width) - 1
-    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in pairs if c}
+def _unpacked(terms: Mapping[int, int], shifts: tuple[int, ...], width: int) -> dict[tuple[int, ...], int]:
+    """The term map of a packed one, zeros dropped, unpacked one variable's
+    column of exponents at a time; the bottom field needs no shift and the
+    top one no mask."""
+    mask = repeat((1 << width) - 1)
+    top = max(shifts)
+    keys = list(compress(terms, terms.values()))
+
+    def column(shift: int) -> Iterable[int]:
+        field = map(rshift, keys, repeat(shift)) if shift else keys
+        return field if shift == top else map(and_, field, mask)
+
+    return dict(zip(zip(*map(column, shifts)), filter(None, terms.values())))
 
 
 class MultiPoly:
@@ -202,7 +215,7 @@ class MultiPoly:
             a, b = b, a
         if not a:
             return _unchecked(self.variables, {}, bound, qi)
-        width = (max(map(max, a)) + max(map(max, b))).bit_length()
+        width = (max(chain.from_iterable(a)) + max(chain.from_iterable(b))).bit_length()
         shifts = _shifts(len(self.variables), qi, width)
         top = shifts[qi]
         outer = _packed(a, shifts)
@@ -222,10 +235,11 @@ class MultiPoly:
             for kb, cb in row:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        return _unchecked(self.variables, _unpacked(out.items(), shifts, width), bound, qi)
+        return _unchecked(self.variables, _unpacked(out, shifts, width), bound, qi)
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if not isinstance(n, int) or n < 0:
+        _require_int(n, "an exponent")
+        if n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = MultiPoly.constant(1, self.variables, self.qbound)
         base = self
@@ -410,7 +424,7 @@ def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
     variables, qi = den.variables, den._qi
     rest = {e: c for e, c in den._terms.items() if 0 < e[qi] <= qbound}
     reach = max((max(e) * qbound // e[qi] for e in rest), default=0)
-    width = (max(map(max, num._terms), default=0) + reach).bit_length()
+    width = (max(chain.from_iterable(num._terms), default=0) + reach).bit_length()
     shifts = _shifts(len(variables), qi, width)
     top = shifts[qi]
     num_layers: list[dict[int, int]] = [{} for _ in range(qbound + 1)]
@@ -432,12 +446,16 @@ def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
                 for kr, cr in prev:
                     k = kd + kr
                     acc[k] = get(k, 0) - cd * cr
-        quotient.append([(k, c) for k, c in acc.items() if c])
-    return _unchecked(variables, _unpacked(chain.from_iterable(quotient), shifts, width), qbound, qi)
+        quotient.append(list(compress(acc.items(), acc.values())))
+    terms: dict[int, int] = {}
+    for acc in num_layers:
+        terms.update(acc)
+    return _unchecked(variables, _unpacked(terms, shifts, width), qbound, qi)
 
 
 def pochhammer(base: MultiPoly, n: int, qbound: int | None = None) -> MultiPoly:
     """Product (1 - base) (1 - base*q) ... (1 - base*q^(n-1)); 1 for n = 0."""
+    _require_int(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     bound = _min_bound(base.qbound, qbound)

@@ -42,12 +42,14 @@ from hookcomb.identities import (
     _series_andrews_lhs,
     _series_andrews_middle,
     _series_andrews_rhs,
+    _series_refined_lhs,
+    _series_refined_rhs,
     gclass_by_block_grammar,
     regrade_limit,
     rogers_fine_sides,
 )
 from hookcomb.partitions import DISTINCT, g_class, is_member
-from hookcomb.series import MultiPoly
+from hookcomb.series import MultiPoly, RationalGF, expand, pochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +382,111 @@ def test_rogers_fine_at_a_equal_b_is_geometric(qbound):
         got = side.substitute({"a": b})
         assert got == want and got.qbound == qbound
 
+
+# the q-series sides summand by summand, as the textbook writes them: a
+# Pochhammer numerator over a Pochhammer denominator, one expansion each
+
+
+def _summand_sum(variables, qbound, summands):
+    total = MultiPoly.zero(variables, qbound)
+    for num, den in summands:
+        total = total + expand(RationalGF(num, den), qbound)
+    return total
+
+
+def _oracle_rogers_fine(qbound):
+    V = ("a", "b", "t", "q")
+
+    def m(coeff=1, **exps):
+        return MultiPoly.monomial(V, coeff, exps, qbound)
+
+    alpha, beta, tau, ratio = m(a=1, q=1), m(b=1, q=1), m(b=1, t=1, q=1), m(a=1, t=1, q=2)
+    lhs = ((pochhammer(alpha, n, qbound) * tau**n, pochhammer(beta, n, qbound)) for n in range(qbound + 1))
+    rhs = (
+        (
+            pochhammer(alpha, n, qbound) * pochhammer(ratio, n, qbound) * beta**n * tau**n
+            * m(q=n * n - n) * (m() - alpha * tau * m(q=2 * n)),
+            pochhammer(beta, n, qbound) * pochhammer(tau, n + 1, qbound),
+        )
+        for n in range(qbound + 1) if n * n + n <= qbound
+    )
+    return _summand_sum(V, qbound, lhs), _summand_sum(V, qbound, rhs)
+
+
+def _oracle_andrews(qbound):
+    V = ("y", "q")
+    yq = MultiPoly.monomial(V, 1, {"y": 1, "q": 1}, qbound)
+    summands = (
+        (MultiPoly.monomial(V, (-1) ** n, {"y": 2 * n, "q": n * (n + 1) // 2}, qbound), pochhammer(yq, n, qbound))
+        for n in range(qbound + 1) if n * (n + 1) // 2 <= qbound
+    )
+    return _summand_sum(V, qbound, summands)
+
+
+def _oracle_refined_lhs(qbound):
+    V = ("x", "y", "q")
+    xq = MultiPoly.monomial(V, 1, {"x": 1, "q": 1}, qbound)
+    summands = (
+        (MultiPoly.monomial(V, 1, {"x": n, "y": n, "q": n * (n + 1) // 2}, qbound), pochhammer(xq, n, qbound))
+        for n in range(1, qbound + 1) if n * (n + 1) // 2 <= qbound
+    )
+    return _summand_sum(V, qbound, summands)
+
+
+def _oracle_refined_rhs(qbound):
+    V = ("x", "y", "q")
+    xq = MultiPoly.monomial(V, 1, {"x": 1, "q": 1}, qbound)
+    neg_yq = MultiPoly.monomial(V, -1, {"y": 1, "q": 1}, qbound)
+    one = MultiPoly.constant(1, V, qbound)
+    summands = (
+        (
+            pochhammer(neg_yq, n - 1, qbound)
+            * MultiPoly.monomial(V, 1, {"x": 2 * n - 1, "y": n, "q": n * (3 * n - 1) // 2}, qbound)
+            * (one + MultiPoly.monomial(V, 1, {"x": 1, "y": 1, "q": 2 * n}, qbound)),
+            pochhammer(xq, n, qbound),
+        )
+        for n in range(1, qbound + 1) if n * (3 * n - 1) // 2 <= qbound
+    )
+    return _summand_sum(V, qbound, summands)
+
+
+@pytest.mark.parametrize(
+    "builder, oracle, qbounds",
+    [
+        (rogers_fine_sides, _oracle_rogers_fine, range(0, 23)),
+        (_series_andrews_lhs, _oracle_andrews, range(1, 41)),
+        (_series_refined_lhs, _oracle_refined_lhs, range(1, 31)),
+        (_series_refined_rhs, _oracle_refined_rhs, range(1, 31)),
+    ],
+    ids=["rogers-fine", "andrews", "refined-lhs", "refined-rhs"],
+)
+def test_nested_sums_match_the_summand_oracle(builder, oracle, qbounds):
+    for qbound in qbounds:
+        got, want = builder(qbound), oracle(qbound)
+        if isinstance(got, MultiPoly):
+            got, want = (got,), (want,)
+        for g, w in zip(got, want, strict=True):
+            assert dict(g.terms) == dict(w.terms) and g.qbound == w.qbound == qbound, qbound
+
+
+@pytest.mark.parametrize("builder", [rogers_fine_sides, _series_andrews_lhs, _series_refined_lhs, _series_refined_rhs])
+def test_series_builders_refuse_a_negative_bound(builder):
+    # a zero polynomial on each side would agree on nothing
+    with pytest.raises(ValueError):
+        builder(-1)
+
+
+def test_series_identities_form_no_pochhammer_product(monkeypatch):
+    from hookcomb import series
+
+    def refuse(*_):
+        raise AssertionError("an identity formed a Pochhammer product")
+
+    monkeypatch.setattr(series, "pochhammer", refuse)
+    # the identities module should not hold the name at all
+    monkeypatch.setattr(identities, "pochhammer", refuse, raising=False)
+    for report in (verify_andrews_identity(), verify_refined_identity(), verify_rogers_fine()):
+        assert report.status == "pass", report.check_id
 
 def test_regrade_limit_values():
     assert regrade_limit(15) == 7

@@ -25,6 +25,7 @@ from hookcomb import (
     poly_gens,
     series_inverse,
 )
+from hookcomb.series import _packed, _shifts, _unpacked
 
 V3 = ("x", "y", "q")
 
@@ -167,6 +168,15 @@ def test_pochhammer_examples():
     neg = pochhammer(yq.scale(-1), 2, 10)
     assert neg == want.substitute({"y": MultiPoly.monomial(("y", "q"), -1, {"y": 1}, 10)})
 
+
+
+@pytest.mark.parametrize("n, error", [(True, TypeError), (False, TypeError), (2.0, TypeError), (-1, ValueError)])
+def test_pochhammer_and_power_refuse_bad_exponents(n, error):
+    xq = m3(1, 1, 0, 1)
+    with pytest.raises(error):
+        pochhammer(xq, n, 5)
+    with pytest.raises(error):
+        xq**n
 
 def test_series_inverse_geometric():
     (q,) = poly_gens("q")
@@ -409,6 +419,40 @@ def test_json_terms_stable():
         {"coeff": 1, "exponents": {"x": 1, "y": 1, "q": 1}},
         {"coeff": -2, "exponents": {"q": 2}},
     ]
+
+
+# ---------------------------------------------------------------------------
+# packed keys
+
+
+@pytest.mark.parametrize(
+    "variables, terms",
+    [
+        (("x", "y", "q"), {}),
+        (("q",), {(0,): 1, (1,): -2, (7,): 5}),
+        (
+            ("a", "b", "q", "c", "d"),
+            {(0, 0, 0, 0, 0): 3, (2**70, 1, 2, 0, 5): -1, (1, 2**70 + 3, 0, 2**71 - 1, 0): 7, (0, 0, 2**70, 0, 1): 2},
+        ),
+    ],
+    ids=["empty", "q-only", "five-variables"],
+)
+def test_packed_keys_round_trip(variables, terms):
+    width = max((max(e) for e in terms), default=0).bit_length() + 1
+    qi = variables.index("q")
+    shifts = _shifts(len(variables), qi, width)
+    pairs = _packed(terms, shifts)
+    # each key holds every exponent in its own field, q's on top
+    assert pairs == [(sum(e << s for e, s in zip(exps, shifts)), c) for exps, c in terms.items()]
+    assert shifts[qi] == width * (len(variables) - 1)
+    assert _unpacked(dict(pairs), shifts, width) == terms
+
+
+def test_unpacked_drops_zero_coefficients():
+    shifts = _shifts(3, 2, 4)
+    key = (1 << shifts[0]) + (2 << shifts[1]) + (3 << shifts[2])
+    assert _unpacked({key: 0, 1 << shifts[2]: 4, 0: 0}, shifts, 4) == {(0, 0, 1): 4}
+    assert _unpacked({key: 0}, shifts, 4) == {}
 
 
 # ---------------------------------------------------------------------------
