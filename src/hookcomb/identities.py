@@ -519,14 +519,14 @@ def _nested_sum(qbound: int, levels: Iterable[tuple[MultiPoly, MultiPoly, MultiP
 
 
 def _series_andrews_lhs(qbound: int) -> MultiPoly:
-    """sum_{n>=0} (-1)^n y^(2n) q^(n(n+1)/2) / ((yq; q)_n), truncated: each
-    term is the one before times -y^2 q^(n+1) / (1 - y q^(n+1))."""
+    """sum_{n>=0} (-1)^n y^(2n) q^(n(n+1)/2) / ((yq; q)_n), truncated:
+    1 + r_0 (1 + r_1 (...)) with r_n = -y^2 q^(n+1) / (1 - y q^(n+1))."""
     V = ("y", "q")
-    one = MultiPoly.constant(1, V, qbound)
 
     def m(coeff: int = 1, **exps: int) -> MultiPoly:
         return MultiPoly.monomial(V, coeff, exps, qbound)
 
+    one = m()
     return _nested_sum(qbound, ((one, m(-1, y=2, q=n + 1), one - m(y=1, q=n + 1)) for n in count()))
 
 
@@ -572,14 +572,13 @@ def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
 
 def _series_refined_lhs(qbound: int) -> MultiPoly:
     """sum_{n>=1} x^n y^n q^(n(n+1)/2) / ((xq; q)_n), truncated: x y q / (1 - x q)
-    times the sum whose terms are each the one before times
-    x y q^(n+1) / (1 - x q^(n+1)), n >= 1."""
+    times 1 + r_1 (1 + r_2 (...)) with r_n = x y q^(n+1) / (1 - x q^(n+1))."""
     V = ("x", "y", "q")
-    one = MultiPoly.constant(1, V, qbound)
 
     def m(**exps: int) -> MultiPoly:
         return MultiPoly.monomial(V, 1, exps, qbound)
 
+    one = m()
     levels = ((one, m(x=1, y=1, q=n + 1), one - m(x=1, q=n + 1)) for n in count(1))
     return expand(RationalGF(m(x=1, y=1, q=1) * _nested_sum(qbound, levels), one - m(x=1, q=1)), qbound)
 
@@ -596,11 +595,11 @@ def _series_refined_rhs(qbound: int) -> MultiPoly:
     c_1 + r_1 (c_2 + r_2 (...)) with c_n = 1 + x y q^(2n) and
     r_n = (1 + y q^n) x^2 y q^(3n+1) / (1 - x q^(n+1))."""
     V = ("x", "y", "q")
-    one = MultiPoly.constant(1, V, qbound)
 
     def m(**exps: int) -> MultiPoly:
         return MultiPoly.monomial(V, 1, exps, qbound)
 
+    one = m()
     levels = (
         (one + m(x=1, y=1, q=2 * n), (one + m(y=1, q=n)) * m(x=2, y=1, q=3 * n + 1), one - m(x=1, q=n + 1))
         for n in count(1)
