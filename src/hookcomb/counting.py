@@ -98,7 +98,6 @@ def parts_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> tuple[tuple
             return tuple(members)
 
 
-@lru_cache(maxsize=None)
 def _union(mask: int, table: tuple[int, ...]) -> int:
     """The union of ``table[s]`` over the states s in ``mask``."""
     out = 0

@@ -28,6 +28,7 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import chain, count
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
 from .counting import (
@@ -55,7 +56,7 @@ from .partitions import (
     mod_one,
 )
 from .profile import block_word_bits, parts_from_word_bits, word_bits_from_parts
-from .series import MultiPoly, RationalGF, expand, gf_of_class, poly_gens
+from .series import MultiPoly, RationalGF, _monomials, expand, gf_of_class, poly_gens
 
 
 class NotDistinct(ValueError):
@@ -496,7 +497,8 @@ def verify_gf_all(qbound: int = 12, max_d: int = 5) -> TheoremReport:
 def _nested_sum(qbound: int, levels: Iterable[tuple[MultiPoly, MultiPoly, MultiPoly]]) -> MultiPoly:
     """c_0 + r_0 (c_1 + r_1 (c_2 + ...)) to q-degree ``qbound``, over the
     levels (c_n, num_n, den_n), where r_n = num_n / den_n, den_n is a series
-    unit and num_n has q-valuation at least 1.
+    unit and num_n has q-valuation at least 1 for n >= 1; a prefactor is
+    the first level, with c_0 = 0 and num_0 of any q-valuation.
 
     The nesting ends at the first level n whose product r_0 ... r_(n-1)
     has q-valuation above ``qbound``, as everything inside it vanishes
@@ -510,8 +512,7 @@ def _nested_sum(qbound: int, levels: Iterable[tuple[MultiPoly, MultiPoly, MultiP
         if depth > qbound:
             break
         kept.append((c, num, den))
-        qi = num.variables.index("q")
-        depth += min((e[qi] for e in num.terms), default=qbound + 1)  # num is 0 to the bound
+        depth += min((e[num._qi] for e in num.terms), default=qbound + 1)  # num is 0 to the bound
     inner = kept.pop()[0]
     for c, num, den in reversed(kept):
         inner = expand(RationalGF(num * inner, den), qbound) + c
@@ -521,11 +522,7 @@ def _nested_sum(qbound: int, levels: Iterable[tuple[MultiPoly, MultiPoly, MultiP
 def _series_andrews_lhs(qbound: int) -> MultiPoly:
     """sum_{n>=0} (-1)^n y^(2n) q^(n(n+1)/2) / ((yq; q)_n), truncated:
     1 + r_0 (1 + r_1 (...)) with r_n = -y^2 q^(n+1) / (1 - y q^(n+1))."""
-    V = ("y", "q")
-
-    def m(coeff: int = 1, **exps: int) -> MultiPoly:
-        return MultiPoly.monomial(V, coeff, exps, qbound)
-
+    m = _monomials(("y", "q"), qbound)
     one = m()
     return _nested_sum(qbound, ((one, m(-1, y=2, q=n + 1), one - m(y=1, q=n + 1)) for n in count()))
 
@@ -571,16 +568,12 @@ def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
 
 
 def _series_refined_lhs(qbound: int) -> MultiPoly:
-    """sum_{n>=1} x^n y^n q^(n(n+1)/2) / ((xq; q)_n), truncated: x y q / (1 - x q)
-    times 1 + r_1 (1 + r_2 (...)) with r_n = x y q^(n+1) / (1 - x q^(n+1))."""
-    V = ("x", "y", "q")
-
-    def m(**exps: int) -> MultiPoly:
-        return MultiPoly.monomial(V, 1, exps, qbound)
-
+    """sum_{n>=1} x^n y^n q^(n(n+1)/2) / ((xq; q)_n), truncated:
+    0 + r_0 (1 + r_1 (1 + r_2 (...))) with r_n = x y q^(n+1) / (1 - x q^(n+1))."""
+    m = _monomials(("x", "y", "q"), qbound)
     one = m()
     levels = ((one, m(x=1, y=1, q=n + 1), one - m(x=1, q=n + 1)) for n in count(1))
-    return expand(RationalGF(m(x=1, y=1, q=1) * _nested_sum(qbound, levels), one - m(x=1, q=1)), qbound)
+    return _nested_sum(qbound, chain([(m(0), m(x=1, y=1, q=1), one - m(x=1, q=1))], levels))
 
 
 def _series_refined_middle(qbound: int) -> MultiPoly:
@@ -591,42 +584,27 @@ def _series_refined_middle(qbound: int) -> MultiPoly:
 
 def _series_refined_rhs(qbound: int) -> MultiPoly:
     """sum_{n>=1} (-yq; q)_(n-1) x^(2n-1) y^n q^(n(3n-1)/2) (1 + x y q^(2n))
-    / ((xq; q)_n), truncated: x y q / (1 - x q) times
-    c_1 + r_1 (c_2 + r_2 (...)) with c_n = 1 + x y q^(2n) and
+    / ((xq; q)_n), truncated: 0 + r_0 (c_1 + r_1 (c_2 + ...)) with
+    r_0 = x y q / (1 - x q), c_n = 1 + x y q^(2n) and
     r_n = (1 + y q^n) x^2 y q^(3n+1) / (1 - x q^(n+1))."""
-    V = ("x", "y", "q")
-
-    def m(**exps: int) -> MultiPoly:
-        return MultiPoly.monomial(V, 1, exps, qbound)
-
+    m = _monomials(("x", "y", "q"), qbound)
     one = m()
     levels = (
         (one + m(x=1, y=1, q=2 * n), (one + m(y=1, q=n)) * m(x=2, y=1, q=3 * n + 1), one - m(x=1, q=n + 1))
         for n in count(1)
     )
-    return expand(RationalGF(m(x=1, y=1, q=1) * _nested_sum(qbound, levels), one - m(x=1, q=1)), qbound)
-
-
-def _max_distinct_size_for_perimeter(g: int) -> int:
-    # the largest distinct-part partition of perimeter g is a staircase
-    best = 0
-    for length in range(1, g + 1):
-        top = g + 1 - length
-        if top < length:
-            break
-        best = max(best, length * top - length * (length - 1) // 2)
-    return best
+    return _nested_sum(qbound, chain([(m(0), m(x=1, y=1, q=1), one - m(x=1, q=1))], levels))
 
 
 def regrade_limit(qbound: int) -> int:
     """Largest perimeter g such that every distinct-part partition of
     perimeter g has size at most qbound (so size-graded data regrades to a
-    complete perimeter-graded series), capped at isqrt(4 * qbound)."""
-    import math
-
-    g = math.isqrt(4 * qbound)
-    while g >= 1 and _max_distinct_size_for_perimeter(g) > qbound:
-        g -= 1
+    complete perimeter-graded series), capped at isqrt(4 * qbound).  The
+    largest size at perimeter p grows with p: it is the best staircase, k
+    parts from p + 1 - k down to p + 2 - 2k >= 1, of size k (2p + 3 - 3k) / 2."""
+    cap, g = isqrt(4 * qbound), 0
+    while g < cap and max(k * (2 * g + 5 - 3 * k) // 2 for k in range(1, g // 2 + 2)) <= qbound:
+        g += 1  # every partition of perimeter g + 1 fits
     return g
 
 
@@ -637,10 +615,9 @@ def _scan_refined_identity(qbound: int, g_limit: int) -> Iterator[dict]:
             yield {"versus": label, **_first_term_difference(lhs, other)}
     # collapse x -> y, y -> -y: must give the single-variable alternating
     # series minus its constant term
-    Vy = ("y", "q")
-    y2 = MultiPoly.monomial(Vy, 1, {"y": 1}, qbound)
-    collapsed = lhs.substitute({"x": y2, "y": y2.scale(-1)})
-    andrews = _series_andrews_lhs(qbound) - MultiPoly.constant(1, Vy, qbound)
+    m = _monomials(("y", "q"), qbound)
+    collapsed = lhs.substitute({"x": m(y=1), "y": m(-1, y=1)})
+    andrews = _series_andrews_lhs(qbound) - m()
     if collapsed != andrews:
         yield {"versus": "collapsed-to-single-variable", **_first_term_difference(collapsed, andrews)}
     # regrade by perimeter: x^(largest) y^(length) q^(perimeter), truncated at g_limit
@@ -675,11 +652,7 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
     so every level divides by one or two binomials 1 - (monomial) and no
     Pochhammer product is formed.
     """
-    V = ("a", "b", "t", "q")
-
-    def m(coeff: int = 1, **exps: int) -> MultiPoly:
-        return MultiPoly.monomial(V, coeff, exps, qbound)
-
+    m = _monomials(("a", "b", "t", "q"), qbound)
     one = m()
     alpha = m(a=1, q=1)
     beta = m(b=1, q=1)
@@ -689,9 +662,9 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
     # (1 - alpha q^n) tau / (1 - beta q^n)
     lhs = ((one, (one - alpha * m(q=n)) * tau, one - beta * m(q=n)) for n in count())
     # sum_{n>=0} (alpha)_n (ratio)_n beta^n tau^n q^(n^2 - n) (1 - alpha tau q^(2n))
-    # / ((beta)_n (tau)_(n+1)) is 1 / (1 - tau) times the sum of
-    # (alpha)_n (ratio)_n (beta tau)^n q^(n^2 - n) / ((beta)_n (tau q)_n) c_n,
-    # c_n = 1 - alpha tau q^(2n), whose term n+1 is term n times
+    # / ((beta)_n (tau)_(n+1)) is 1 / (1 - tau), the first level with c = 0,
+    # times the sum of (alpha)_n (ratio)_n (beta tau)^n q^(n^2 - n) c_n
+    # / ((beta)_n (tau q)_n), c_n = 1 - alpha tau q^(2n), whose term n+1 is term n times
     # (1 - alpha q^n) (1 - ratio q^n) beta tau q^(2n) / ((1 - beta q^n) (1 - tau q^(n+1)))
     rhs = (
         (
@@ -701,7 +674,7 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
         )
         for n in count()
     )
-    return _nested_sum(qbound, lhs), expand(RationalGF(_nested_sum(qbound, rhs), one - tau), qbound)
+    return _nested_sum(qbound, lhs), _nested_sum(qbound, chain([(m(0), one, one - tau)], rhs))
 
 
 def _scan_rogers_fine(qbound: int) -> Iterator[dict]:

@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, and_, lshift, rshift
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .partitions import ConstraintClass
 
@@ -49,12 +49,11 @@ class VariableMismatch(ValueError):
     pass
 
 
-class NonUnitConstantTerm(ValueError):
-    pass
-
-
 class NonUnitDenominator(ValueError):
     pass
+
+
+NonUnitConstantTerm = NonUnitDenominator  # a second name, for except clauses that use it
 
 
 def _min_bound(a: int | None, b: int | None) -> int | None:
@@ -181,6 +180,9 @@ class MultiPoly:
         return MappingProxyType(self._terms)
 
     def coefficient(self, exponents: Mapping[str, int]) -> int:
+        unknown = set(exponents).difference(self.variables)
+        if unknown:
+            raise VariableMismatch(f"unknown variables {sorted(unknown)}")
         vec = tuple(exponents.get(v, 0) for v in self.variables)
         return self._terms.get(vec, 0)
 
@@ -391,36 +393,34 @@ def poly_gens(*names: str, qbound: int | None = None) -> tuple[MultiPoly, ...]:
     return tuple(MultiPoly.monomial(variables, 1, {n: 1}, qbound) for n in names)
 
 
-def series_inverse(p: MultiPoly, qbound: int | None = None) -> MultiPoly:
-    """The r with p * r = 1 up to the q-degree bound, the smaller of
-    ``qbound`` and ``p.qbound``: p is known only to its own bound, so its
-    inverse is too.
+def _monomials(variables: tuple[str, ...], qbound: int | None = None) -> Callable[..., MultiPoly]:
+    """m(coeff=1, **exponents): the monomial over ``variables``, bound ``qbound``."""
 
-    Requires the q-degree-0 part of ``p`` to be exactly the constant 1;
-    then the inverse has integer polynomial coefficients.  It is the
-    layered division of 1 by ``p``.
-    """
+    def m(coeff: int = 1, **exponents: int) -> MultiPoly:
+        return MultiPoly.monomial(variables, coeff, exponents, qbound)
+
+    return m
+
+
+def series_inverse(p: MultiPoly, qbound: int | None = None) -> MultiPoly:
+    """The expansion of 1 / ``p`` to the smaller of ``qbound`` and
+    ``p.qbound``: p is known only to its own bound, so its inverse is too.
+    The q-degree-0 part of ``p`` must be exactly the constant 1; then the
+    inverse has integer polynomial coefficients."""
     bound = _min_bound(qbound, p.qbound)
     if bound is None:
         raise ValueError("an explicit qbound is required to invert an unbounded polynomial")
-    return _divide(MultiPoly.constant(1, p.variables, bound), p, bound)
-
-
-def _unit_constant(p: MultiPoly) -> bool:
-    """Whether the q-degree-0 part of ``p`` is exactly the constant 1."""
-    return {e: c for e, c in p._terms.items() if e[p._qi] == 0} == {(0,) * len(p.variables): 1}
+    return expand(RationalGF(MultiPoly.constant(1, p.variables, bound), p), bound)
 
 
 def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
     """The quotient num / den to q-degree ``qbound``, layer by layer in q:
     r_j = num_j - (den_1 r_(j-1) + ... + den_j r_0), where den_i is the
-    q-degree-i part of ``den``, whose q-degree-0 part must be exactly 1.
-    Only the few layers that den has are visited."""
+    q-degree-i part of ``den``, whose q-degree-0 part :class:`RationalGF`
+    has checked is exactly 1.  Only the few layers that den has are visited."""
     _require_int(qbound, "qbound")
     if qbound < 0:
         raise ValueError("qbound must be non-negative")
-    if not _unit_constant(den):
-        raise NonUnitConstantTerm("the q-degree-0 part must be exactly 1")
     variables, qi = den.variables, den._qi
     rest = {e: c for e, c in den._terms.items() if 0 < e[qi] <= qbound}
     reach = max((max(e) * qbound // e[qi] for e in rest), default=0)
@@ -474,16 +474,18 @@ class RationalGF:
     """A rational generating function num/den with den a series unit.
 
     The denominator's q-degree-0 part must be exactly the constant 1, which
-    makes the power-series expansion unique at any truncation order.
+    makes the power-series expansion unique at any truncation order; no
+    quotient is checked anywhere else.
     """
 
     numerator: MultiPoly
     denominator: MultiPoly
 
     def __post_init__(self) -> None:
-        if self.numerator.variables != self.denominator.variables:
+        den = self.denominator
+        if self.numerator.variables != den.variables:
             raise VariableMismatch("numerator and denominator must share variables")
-        if not _unit_constant(self.denominator):
+        if {e: c for e, c in den._terms.items() if e[den._qi] == 0} != {(0,) * len(den.variables): 1}:
             raise NonUnitDenominator("denominator must have q-degree-0 part exactly 1")
 
 
@@ -504,19 +506,15 @@ def gf_of_class(c: ConstraintClass) -> RationalGF:
     the denominator: under the rule (g, m), runs E^m and blocks N*E^gap,
     where gap = m*ceil(g/m) is the least difference of two parts.
     """
-    V = ("x", "y", "q")
-
-    def m(coeff: int = 1, x: int = 0, y: int = 0, q: int = 0) -> MultiPoly:
-        return MultiPoly.monomial(V, coeff, {"x": x, "y": y, "q": q})
-
-    one = m(1)
-    xyq = m(1, 1, 1, 1)
+    m = _monomials(("x", "y", "q"))
+    one = m()
+    xyq = m(x=1, y=1, q=1)
     if c.rule is not None:
         g, mod = c.rule
         gap = mod * -(-g // mod)
-        return RationalGF(xyq, one - m(1, mod, 0, mod) - m(1, gap, 1, gap + 1))
+        return RationalGF(xyq, one - m(x=mod, q=mod) - m(x=gap, y=1, q=gap + 1))
     # residue-and-gap
     d = c.d
-    num = xyq * (one - m(1, 0, 1, 1) + m(1, d + 1, 0, d + 1))
-    den = one - m(2, 0, 1, 1) + m(1, 0, 2, 2) - m(1, 2 * d + 1, 1, 2 * d + 2)
+    num = xyq * (one - m(y=1, q=1) + m(x=d + 1, q=d + 1))
+    den = one - m(2, y=1, q=1) + m(y=2, q=2) - m(x=2 * d + 1, y=1, q=2 * d + 2)
     return RationalGF(num, den)

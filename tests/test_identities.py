@@ -495,6 +495,20 @@ def test_regrade_limit_values():
     assert regrade_limit(5) == 4
 
 
+def test_regrade_limit_matches_its_definition():
+    # the largest g <= isqrt(4 * qbound) such that every partition in
+    # parts_by_perimeter(g, DISTINCT) has size at most qbound; perimeter 0
+    # has only the empty partition
+    from math import isqrt
+
+    from hookcomb.counting import parts_by_perimeter
+
+    largest = [0] + [max(map(sum, parts_by_perimeter(g, DISTINCT))) for g in range(1, isqrt(4 * 200) + 1)]
+    for qbound in range(201):
+        expected = max(g for g in range(isqrt(4 * qbound) + 1) if largest[g] <= qbound)
+        assert regrade_limit(qbound) == expected, qbound
+
+
 # ---------------------------------------------------------------------------
 # reports
 

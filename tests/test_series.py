@@ -71,6 +71,17 @@ def test_variable_mismatch():
         MultiPoly.monomial(("x", "y"), 1, {})  # no q variable
 
 
+def test_coefficient_rejects_names_that_are_not_variables():
+    x, q = poly_gens("x", "q")
+    p = MultiPoly.constant(5, ("x", "q")) + x * q
+    assert p.coefficient({"x": 1, "q": 1}) == 1
+    assert p.coefficient({}) == 5
+    with pytest.raises(VariableMismatch):
+        p.coefficient({"z": 3})
+    with pytest.raises(VariableMismatch):
+        p.coefficient({"x": 1, "q": 1, "y": 2})
+
+
 def test_pow_and_scale():
     s = m3(1, 1, 0, 1) + m3(1, 0, 1, 1)
     assert s**0 == m3(1)
@@ -204,6 +215,10 @@ def test_series_inverse_needs_unit_constant():
     (q,) = poly_gens("q")
     with pytest.raises(NonUnitConstantTerm):
         series_inverse(q, 4)
+    # the one unit check is RationalGF's, and the old name is the same error
+    assert NonUnitConstantTerm is NonUnitDenominator
+    with pytest.raises(NonUnitDenominator):
+        series_inverse(MultiPoly.constant(2, ("q",)) + q, 4)
 
 
 def test_series_inverse_keeps_the_smaller_bound():
