@@ -1,9 +1,11 @@
 """Enumeration streams and exact counts for partitions graded by perimeter.
 
 The engine knows a class only through its word automaton with s states
-(:class:`hookcomb.partitions.WordAutomaton`): counts take O(log n) products
-of polynomials of degree at most s, refined counts one walk of n - 1 steps,
-and enumeration a backward walk whose work follows the output.
+(:class:`hookcomb.partitions.WordAutomaton`): a count is the walk's n-th
+term for n <= 2s and past that takes O(L^2 log n) products, squaring x^(n-1)
+modulo the class's recurrence of order L <= s; refined counts take one walk
+of n - 1 steps, and enumeration a backward walk whose work follows the
+output.
 :func:`parts_by_perimeter` is the brute-force route instead: it walks the
 partitions of perimeter n and keeps those the class's first-break oracle
 accepts, never reading the automaton.  It, :func:`fibonacci` and
@@ -18,7 +20,7 @@ from functools import cache, lru_cache
 from itertools import accumulate, compress, islice, zip_longest
 from typing import Iterator
 
-from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton, _unchecked
+from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton, _require_int, _unchecked
 
 
 class InvalidKeyForClass(ValueError):
@@ -50,12 +52,19 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _require_perimeter(n: int) -> None:
+    _require_int(n, "perimeter")
+    if n < 1:
+        raise ValueError("perimeter must be at least 1")
+
+
 def fibonacci(n: int) -> int:
     """F(0) = 0, F(1) = F(2) = 1; exactly the count of distinct-part
     partitions with perimeter n for n >= 1.
 
     Fast doubling over the bits of n, high to low: from (F(k), F(k+1)),
     F(2k) = F(k) (2 F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
+    _require_int(n, "n")
     if n < 0:
         raise ValueError("n must be non-negative")
     a, b = 0, 1
@@ -80,8 +89,7 @@ def parts_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> tuple[tuple
     starting the next first part.  A member is a block of one.  Each
     rejected prefix is thus tested once.
     """
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
+    _require_perimeter(n)
     first_break, parts, members = c.first_break, (n,), []
     while True:
         k = first_break(parts)
@@ -127,8 +135,7 @@ def enumerate_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> Iterato
     reverse-lexicographic part order: a depth-first walk backward through the
     class's automaton, one part at a time, into parts the reach table allows.
     """
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
+    _require_perimeter(n)
     aut, reach = c.automaton, _reach(c.automaton, n)
 
     @cache
@@ -201,26 +208,42 @@ def _rational(c: ConstraintClass, n_weight: int) -> tuple[list[int], list[int]]:
     return [x // q[0] for x in p], [x // q[0] for x in q[: length + 1]]
 
 
-def _half_product(a: list[int], q: list[int], parity: int) -> list[int]:
-    """The coefficients of a(z) q(-z) at z^(2i + parity), i = 0, 1, ..."""
-    out = [0] * ((len(a) + len(q) - parity) // 2)
-    for i, x in enumerate(a):
-        for j in range((i ^ parity) & 1, len(q), 2):
-            out[(i + j) >> 1] += -x * q[j] if j & 1 else x * q[j]
-    return out
-
-
 def _term(c: ConstraintClass, n: int, n_weight: int = 1) -> int:
-    """t(n) = [z^(n-1)] P/Q by Bostan-Mori (SOSA 2021): P(z) Q(-z) over the
-    even Q(z) Q(-z) keeps the numerator half of the index's parity."""
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
+    """t(n): the walk's n-th term itself for n <= 2s, s states.  Past that, by
+    Fiduccia (SIAM J. Comput. 1985): with n - 1 = 2h + b, r = x^h modulo the
+    reversed denominator C(x) = x^L Q(1/x), squared and shifted over the
+    bits of h and reduced through Q's nonzero taps.  Applying
+    t(h + 1 + m) = sum_j r_j t(j + 1 + m) twice gives
+    t(n) = sum_i r_i sum_j r_j t(i + j + b + 1), so the last step takes L
+    products of large numbers, not L (L + 1) / 2; t(1..2L) is read off P = Q T.
+    """
+    _require_perimeter(n)
+    if n <= 2 * len(c.automaton.on_e):
+        return next(islice(_walk(c.automaton, 0, n_weight), n - 1, None))
     p, q = _rational(c, n_weight)
-    k = n - 1
-    while k:
-        p, q = _half_product(p, q, k & 1), _half_product(q, q, 0)
-        k >>= 1
-    return p[0] if p else 0
+    if not p:  # Q = 1: the walk is all zeros
+        return 0
+    taps, size = [(j, x) for j, x in enumerate(q) if j and x], len(p)
+    t = []  # t(1..2L)
+    for k, x in enumerate(p + [0] * size):
+        t.append(x - sum(y * t[k - j] for j, y in taps if j <= k))
+    h, b = divmod(n - 1, 2)
+    r = [1] + [0] * (size - 1)
+    for bit in bin(h)[2:]:
+        s = [0] * (2 * size - 1)
+        for i, a in enumerate(r):
+            s[2 * i] += a * a
+            a += a
+            for j in range(i + 1, size):
+                s[i + j] += a * r[j]
+        if bit == "1":
+            s.insert(0, 0)
+        while len(s) > size:  # x^i = -sum q_j x^(i - j) for i >= L
+            x, i = s.pop(), len(s)
+            for j, y in taps:
+                s[i - j] -= y * x
+        r = s
+    return sum(a * sum(x * t[i + j + b] for j, x in enumerate(r)) for i, a in enumerate(r))
 
 
 def count_by_perimeter(n: int, c: ConstraintClass) -> int:
@@ -235,11 +258,10 @@ def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
     Each key picks one largest part a, the word's number of E's: one walk
     with each E weighing 2^n holds its count in base-2^n digit a - 1.
     """
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
+    _require_perimeter(n)
     if not isinstance(key, (LargestPart, NumParts, Rank)):
         raise InvalidKeyForClass(f"unsupported refinement key {key!r}")
-    v = key.value
+    _require_int(v := key.value, "a key value")
     a = v if isinstance(key, LargestPart) else n + 1 - v if isinstance(key, NumParts) else (v + n + 1) // 2
     if not 1 <= a <= n or isinstance(key, Rank) and (v + n + 1) % 2:
         return 0
@@ -260,8 +282,7 @@ _EXCESS_BY_RESIDUE = (0, -1, -1, 0, 1, 1)
 def excess_e(n: int) -> int:
     """Even-length minus odd-length count over distinct-part partitions of
     perimeter ``n``: 0, -1 or +1 according to n mod 6."""
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
+    _require_perimeter(n)
     return _EXCESS_BY_RESIDUE[n % 6]
 
 

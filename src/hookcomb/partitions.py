@@ -55,6 +55,11 @@ class NotWeaklyDecreasing(PartitionError):
     pass
 
 
+def _require_int(value, what: str) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
 def _validate_parts(parts: tuple[int, ...]) -> None:
     if not parts:
         raise EmptyPartition("a partition must have at least one part")

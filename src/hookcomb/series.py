@@ -42,7 +42,7 @@ from operator import add, and_, lshift, rshift
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .partitions import ConstraintClass
+from .partitions import ConstraintClass, _require_int
 
 
 class VariableMismatch(ValueError):
@@ -62,11 +62,6 @@ def _min_bound(a: int | None, b: int | None) -> int | None:
     if b is None:
         return a
     return min(a, b)
-
-
-def _require_int(value, what: str) -> None:
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
 @lru_cache(maxsize=256)

@@ -24,8 +24,9 @@ from hookcomb import (
     is_member,
     mod_one,
 )
+from hookcomb import counting
 from hookcomb.counting import parts_by_perimeter
-from hookcomb.identities import _all_classes
+from hookcomb.identities import _all_classes, _parity_split_binomials
 from hookcomb.partitions import parts_are_member
 from hookcomb.profile import parts_from_word_bits
 
@@ -51,6 +52,11 @@ def windowed_count(n, c):
     for _ in range(d + 2, n + 1):
         window.append(window[-1] + window[0])
     return window[-1]
+
+
+# n <= 200 covers the switch from the walk at n = 2s for every class and the
+# short bit patterns of n - 1; then each power of two and its neighbours
+PERIMETERS = sorted({*range(1, 201), *(2**k + e for k in range(1, 15) for e in (-1, 0, 1)), 2999, 3000})
 
 
 def partitions_by_perimeter_oracle(n):
@@ -167,8 +173,46 @@ def test_fibonacci_against_gap_recurrence():
 
 @pytest.mark.parametrize("c", _all_classes(5), ids=str)
 def test_counts_at_large_perimeter_match_windowed_recurrence(c):
-    for n in (2999, 3000):
+    for n in PERIMETERS:
         assert count_by_perimeter(n, c) == windowed_count(n, c), n
+
+
+@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+def test_counts_to_twice_the_state_count_read_the_walk(c, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no recurrence is needed for n <= 2s")
+
+    monkeypatch.setattr(counting, "_rational", refuse)
+    for n in range(1, 2 * len(c.automaton.on_e) + 1):
+        members = parts_by_perimeter(n, c)
+        assert counting._term(c, n) == len(members), n
+        assert counting._term(c, n, -1) == sum((-1) ** len(p) for p in members), n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(enumerate_by_perimeter(True)),
+        lambda: list(enumerate_by_perimeter(3.0)),
+        lambda: parts_by_perimeter(True),
+        lambda: parts_by_perimeter(3.0),
+        lambda: count_by_perimeter(True, DISTINCT),
+        lambda: count_by_perimeter(3.0, DISTINCT),
+        lambda: count_parity_split(True),
+        lambda: count_parity_split(3.0),
+        lambda: count_refined(True, NumParts(1), DISTINCT),
+        lambda: count_refined(4.0, NumParts(2), DISTINCT),
+        lambda: count_refined(4, NumParts(2.0), DISTINCT),
+        lambda: count_refined(4, LargestPart(True), DISTINCT),
+        lambda: fibonacci(True),
+        lambda: fibonacci(3.0),
+        lambda: excess_e(True),
+        lambda: excess_e(3.0),
+    ],
+)
+def test_counting_entry_points_refuse_bools_and_floats(call):
+    with pytest.raises(TypeError, match="must be an int"):
+        call()
 
 
 @pytest.mark.parametrize("c", [DISTINCT, ODD, d_distinct(1), mod_one(1)], ids=str)
@@ -286,10 +330,12 @@ def test_parity_split_examples():
 
 
 def test_parity_split_sums_to_fibonacci():
-    for n in range(1, 31):
+    for n in PERIMETERS:
         even, odd = count_parity_split(n)
-        assert even + odd == fibonacci(n)
-        assert even - odd == excess_e(n)
+        assert even + odd == fibonacci(n), n
+        assert even - odd == excess_e(n), n
+        if n <= 200:
+            assert (even, odd) == _parity_split_binomials(n), n
 
 
 def test_excess_examples():
