@@ -21,22 +21,16 @@ from .partitions import (
     d_distinct,
     g_class,
     hook_lengths,
-    is_member,
     make_partition,
     mod_one,
     rank,
 )
 from .profile import (
-    BlockDecomposition,
     EmptyWord,
     InvalidLetter,
     MustEndWithN,
     MustStartWithE,
-    NotInClass,
     ProfileWord,
-    blocks_to_partition,
-    blocks_to_word,
-    decompose_blocks,
     from_profile,
     to_profile,
 )
@@ -55,7 +49,6 @@ from .counting import (
 )
 from .series import (
     MultiPoly,
-    NonUnitConstantTerm,
     NonUnitDenominator,
     RationalGF,
     VariableMismatch,

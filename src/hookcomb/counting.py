@@ -289,6 +289,7 @@ def excess_e(n: int) -> int:
 def partitions_of_size(n: int, distinct: bool = False) -> tuple[tuple[int, ...], ...]:
     """All parts tuples summing to ``n`` (optionally with strictly
     decreasing parts), reverse-lexicographic."""
+    _require_int(n, "size")
     if n < 0:
         raise ValueError("size must be non-negative")
     return tuple(_gen_by_size(n, n, distinct))
@@ -307,6 +308,7 @@ def _gen_by_size(remaining: int, cap: int, distinct: bool):
 def enumerate_by_size(max_size: int, distinct_only: bool = False) -> Iterator[Partition]:
     """All partitions of every size 1..``max_size``, each exactly once,
     sizes ascending and reverse-lexicographic within a size."""
+    _require_int(max_size, "max_size")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     for n in range(1, max_size + 1):

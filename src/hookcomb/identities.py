@@ -403,27 +403,31 @@ def _block_sequences(budget: int, d: int):
             yield (j,) + rest
 
 
-def gclass_by_block_grammar(n: int, d: int) -> set[tuple[int, ...]]:
+def gclass_by_block_grammar(n: int, d: int) -> list[tuple[int, ...]]:
     """Partitions of perimeter ``n`` in the class ``g_class(d)``, generated
-    from block sequences instead of by filtering."""
-    out: set[tuple[int, ...]] = set()
+    from block sequences instead of by filtering: one entry per sequence,
+    so a partition that two sequences spell appears twice."""
     budget = n - 1  # word length n + 1, minus the initial E and terminal N
-    for j0 in range(budget + 1):
-        for trailing_ns in _block_sequences(budget - j0, d):
-            out.add(parts_from_word_bits(*block_word_bits(j0, trailing_ns, d)))
-    return out
+    return [
+        parts_from_word_bits(*block_word_bits(j0, trailing_ns, d))
+        for j0 in range(budget + 1)
+        for trailing_ns in _block_sequences(budget - j0, d)
+    ]
 
 
 def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
     dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
     for n in range(1, max_n + 1):
         g_set = set(parts_by_perimeter(n, gc))
-        grammar_set = gclass_by_block_grammar(n, d)
+        grammar = gclass_by_block_grammar(n, d)
+        grammar_set = set(grammar)
+        # as many sequences as members, and the same set: each member is
+        # spelled exactly once
         routes = {
             f"enumeration {mo}": len(parts_by_perimeter(n, mo)),
             f"enumeration {gc}": len(g_set),
             f"automaton {dd}": count_by_perimeter(n, dd),
-            f"block grammar {gc}": len(grammar_set),
+            f"block grammar {gc}": len(grammar),
         }
         yield from _disagreement({"n": n, "d": d}, "d_distinct", len(parts_by_perimeter(n, dd)), routes)
         if grammar_set != g_set:
@@ -435,7 +439,8 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     """For gap parameter d, the three families (parts differing by at least
     d; parts congruent to 1 mod d+1; the residue-and-gap class) are
     equinumerous at every perimeter, match the word-automaton count, and the
-    residue-and-gap class is reproduced by block-grammar generation."""
+    block grammar spells each member of the residue-and-gap class exactly
+    once: its sequences are as many as the members, and spell the same set."""
     if d < 1:
         raise InvalidD("d must be a positive integer")
     _require(1, max_n=max_n)

@@ -220,8 +220,8 @@ def g_class(d: int) -> ConstraintClass:
 def parts_are_member(parts: tuple[int, ...], c: ConstraintClass) -> bool:
     """Membership test on a raw parts tuple (assumed valid).
 
-    :func:`is_member` is the public wrapper over :class:`Partition`.  A
-    member is a tuple none of whose parts breaks the rule of ``c``: see
+    For a :class:`Partition` ``p``, pass ``p.parts``.  A member is a
+    tuple none of whose parts breaks the rule of ``c``: see
     :attr:`ConstraintClass.first_break`.
     """
     return c.first_break(parts) == len(parts)
@@ -306,11 +306,6 @@ def _automaton_of(c: ConstraintClass) -> WordAutomaton:
     top, states = 2 * d + 1, range(2 * d + 2)
     on_n = tuple(d if s == d else 0 if s in (0, top) else -1 for s in states)
     return WordAutomaton(d, tuple(s + 1 if s < top else -1 for s in states), on_n)
-
-
-def is_member(p: Partition, c: ConstraintClass) -> bool:
-    """Does ``p`` belong to the constraint class ``c``?"""
-    return parts_are_member(p.parts, c)
 
 
 def rank(p: Partition) -> int:

@@ -53,9 +53,6 @@ class NonUnitDenominator(ValueError):
     pass
 
 
-NonUnitConstantTerm = NonUnitDenominator  # a second name, for except clauses that use it
-
-
 def _min_bound(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b

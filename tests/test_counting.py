@@ -21,11 +21,10 @@ from hookcomb import (
     excess_e,
     fibonacci,
     g_class,
-    is_member,
     mod_one,
 )
 from hookcomb import counting
-from hookcomb.counting import parts_by_perimeter
+from hookcomb.counting import partitions_of_size, parts_by_perimeter
 from hookcomb.identities import _all_classes, _parity_split_binomials
 from hookcomb.partitions import parts_are_member
 from hookcomb.profile import parts_from_word_bits
@@ -363,4 +362,18 @@ def test_enumerate_by_size_examples():
 
 def test_size_enumeration_respects_distinct_flag():
     for p in enumerate_by_size(12, distinct_only=True):
-        assert is_member(p, DISTINCT)
+        assert parts_are_member(p.parts, DISTINCT)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: partitions_of_size(v), "size"),
+        (lambda v: list(enumerate_by_size(v)), "max_size"),
+    ],
+    ids=["partitions_of_size", "enumerate_by_size"],
+)
+@pytest.mark.parametrize("value", [True, 2.0], ids=repr)
+def test_size_enumerations_refuse_bools_and_floats(call, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call(value)

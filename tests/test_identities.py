@@ -5,16 +5,12 @@ import pytest
 
 from hookcomb import (
     CHECKS,
-    BlockDecomposition,
     InvalidD,
     NotDistinct,
     TheoremReport,
-    blocks_to_partition,
-    blocks_to_word,
     count_by_perimeter,
     count_parity_split,
     d_distinct,
-    decompose_blocks,
     enumerate_by_size,
     franklin,
     from_profile,
@@ -48,7 +44,7 @@ from hookcomb.identities import (
     regrade_limit,
     rogers_fine_sides,
 )
-from hookcomb.partitions import DISTINCT, g_class, is_member
+from hookcomb.partitions import DISTINCT, g_class
 from hookcomb.series import MultiPoly, RationalGF, expand, pochhammer
 
 
@@ -153,9 +149,9 @@ def test_block_grammar_generation_matches_filter():
 
     for d in (1, 2, 3):
         for n in range(1, 11):
-            generated = gclass_by_block_grammar(n, d)
-            filtered = {p for p in parts_by_perimeter(n) if parts_are_member(p, g_class(d))}
-            assert generated == filtered
+            generated = sorted(gclass_by_block_grammar(n, d))
+            filtered = sorted(p for p in parts_by_perimeter(n) if parts_are_member(p, g_class(d)))
+            assert generated == filtered  # as lists, so a partition spelled twice fails
 
 
 def test_brute_filter_matches_the_membership_test():
@@ -225,14 +221,13 @@ def test_d_chain_brute_force_holds_no_perimeter_table():
     assert peak_mb < 8, f"verify_d_chain(1, max_n=18) peaked at {peak_mb:.1f} MB"
 
 
-def text_route_partition(b, d):
+def text_route_partition(initial_ns, trailing_ns, d):
     """The block spelling as E/N text, decoded through the word wrappers."""
-    pieces = ["E", "N" * b.initial_ns]
-    for i, j in enumerate(b.trailing_ns):
+    pieces = ["E", "N" * initial_ns]
+    for i, j in enumerate(trailing_ns):
         head = "N" + "E" * d if i % 2 else "E" * (d + 1)  # type II at odd positions
         pieces.append(head + "N" * j)
-    text = "".join(pieces) + "N"
-    return text, from_profile(text).parts
+    return from_profile("".join(pieces) + "N").parts
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -240,15 +235,11 @@ def test_block_grammar_matches_text_route(d):
     from hookcomb.identities import _block_sequences
 
     for n in range(1, 15):
-        expected = set()
-        for j0 in range(n):
-            for trailing_ns in _block_sequences(n - 1 - j0, d):
-                b = BlockDecomposition(j0, trailing_ns)
-                text, parts = text_route_partition(b, d)
-                assert blocks_to_word(b, d).text == text
-                assert decompose_blocks(blocks_to_word(b, d), d) == b
-                assert blocks_to_partition(b, d).parts == parts
-                expected.add(parts)
+        expected = [
+            text_route_partition(j0, trailing_ns, d)
+            for j0 in range(n)
+            for trailing_ns in _block_sequences(n - 1 - j0, d)
+        ]
         assert gclass_by_block_grammar(n, d) == expected, (n, d)
 
 
@@ -302,6 +293,24 @@ def test_d_chain_catches_a_block_word_outside_the_class(monkeypatch):
     assert not report.passed
     assert report.counterexample["route"] == "block grammar gclass:2"
     assert report.counterexample["n"] == 1
+
+
+def test_d_chain_catches_a_block_sequence_spelled_twice(monkeypatch):
+    # the same set of partitions, but each one spelled by two sequences; the
+    # real generator recurses through the patched name, hence the dedup
+    real = identities._block_sequences
+
+    def doubled(budget, d):
+        for trailing_ns in dict.fromkeys(real(budget, d)):
+            yield trailing_ns
+            yield trailing_ns
+
+    monkeypatch.setattr(identities, "_block_sequences", doubled)
+    report = verify_d_chain(2, max_n=8)
+    assert not report.passed
+    assert report.counterexample["route"] == "block grammar gclass:2"
+    assert report.counterexample["n"] == 1
+    assert report.counterexample["got"] == 2
 
 
 @pytest.mark.parametrize("fault", ["drop-6321", "reverse-order"])

@@ -2,25 +2,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hookcomb import (
-    BlockDecomposition,
     EmptyWord,
     InvalidLetter,
     MustEndWithN,
     MustStartWithE,
-    NotInClass,
     ProfileWord,
-    blocks_to_partition,
-    blocks_to_word,
     conjugate,
-    decompose_blocks,
     enumerate_by_size,
     from_profile,
     g_class,
-    is_member,
     make_partition,
     to_profile,
 )
-from hookcomb.profile import parts_from_word_bits
+from hookcomb.partitions import parts_are_member
+from hookcomb.profile import block_word_bits, parts_from_word_bits
 
 FIG_WORD = "ENNNEEENEENNNEEENN"
 FIG_PARTS = (9, 9, 6, 6, 6, 4, 1, 1, 1)
@@ -99,63 +94,15 @@ def test_random_word_roundtrip(length, data):
 # block grammar
 
 
-def test_decompose_figure_word():
-    b = decompose_blocks(FIG_WORD, 2)
-    assert b.initial_ns == 3
-    assert b.trailing_ns == (0, 3, 1)  # types I, II, I
-    assert blocks_to_word(b, 2).text == FIG_WORD
-    assert blocks_to_partition(b, 2).parts == FIG_PARTS
-
-
-def test_decompose_trivial_word():
-    b = decompose_blocks("EN", 2)
-    assert b.initial_ns == 0
-    assert b.trailing_ns == ()
-
-
-def test_decompose_rejects_pure_column():
-    # (7) encodes as EEEEEEEN; a run of 7 E's cannot split as 1 + blocks
-    with pytest.raises(NotInClass) as exc:
-        decompose_blocks("EEEEEEEN", 2)
-    assert exc.value.position == 4
-
-
-def test_blocks_to_partition_examples():
-    fig = BlockDecomposition(3, (0, 3, 1))
-    assert blocks_to_partition(fig, 2).parts == FIG_PARTS
-    assert blocks_to_partition(BlockDecomposition(0, ()), 1).parts == (1,)
-    single = BlockDecomposition(0, (0,))
-    assert blocks_to_word(single, 2).text == "EEEEN"
-    assert blocks_to_partition(single, 2).parts == (4,)
-    assert is_member(make_partition([4]), g_class(2))
-
-
-def test_block_counts_must_be_non_negative():
-    with pytest.raises(ValueError):
-        BlockDecomposition(0, (-1,))
-    with pytest.raises(ValueError):
-        BlockDecomposition(-1, ())
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_parser_agrees_with_membership(d):
-    # the grammar parser and the arithmetic predicate are independent
-    # implementations and must accept exactly the same words
-    for length in range(2, 15):
-        for w in all_words(length):
-            member = is_member(from_profile(w), g_class(d))
-            try:
-                b = decompose_blocks(w, d)
-            except NotInClass:
-                assert not member, f"parser rejected member word {w.text} (d={d})"
-            else:
-                assert member, f"parser accepted non-member word {w.text} (d={d})"
-                assert blocks_to_word(b, d) == w
-
-
-def test_decompose_requires_positive_d():
-    with pytest.raises(ValueError):
-        decompose_blocks("EN", 0)
+def test_block_word_bits_examples():
+    # the figure word: an initial block E N^3, then middle blocks of types I, II, I
+    assert block_word_bits(3, (0, 3, 1), 2) == (18, ProfileWord.from_text(FIG_WORD).bits)
+    assert parts_from_word_bits(*block_word_bits(3, (0, 3, 1), 2)) == FIG_PARTS
+    assert ProfileWord(*block_word_bits(0, (), 2)).text == "EN"
+    assert parts_from_word_bits(*block_word_bits(0, (), 1)) == (1,)
+    assert ProfileWord(*block_word_bits(0, (0,), 2)).text == "EEEEN"
+    assert parts_from_word_bits(*block_word_bits(0, (0,), 2)) == (4,)
+    assert parts_are_member((4,), g_class(2))
 
 
 def reference_decode(text):
