@@ -94,11 +94,19 @@ def test_random_word_roundtrip(length, data):
 # block grammar
 
 
-def test_block_word_bits_examples():
-    # the figure word: an initial block E N^3, then middle blocks of types I, II, I
+def test_decompose_figure_word():
+    # the figure word's blocks: an initial block E N^3, then middle blocks of types I, II, I
     assert block_word_bits(3, (0, 3, 1), 2) == (18, ProfileWord.from_text(FIG_WORD).bits)
     assert parts_from_word_bits(*block_word_bits(3, (0, 3, 1), 2)) == FIG_PARTS
+
+
+def test_decompose_trivial_word():
+    # EN is the empty block sequence: no initial N's and no middle blocks
     assert ProfileWord(*block_word_bits(0, (), 2)).text == "EN"
+
+
+def test_blocks_to_partition_examples():
+    assert parts_from_word_bits(*block_word_bits(3, (0, 3, 1), 2)) == FIG_PARTS
     assert parts_from_word_bits(*block_word_bits(0, (), 1)) == (1,)
     assert ProfileWord(*block_word_bits(0, (0,), 2)).text == "EEEEN"
     assert parts_from_word_bits(*block_word_bits(0, (0,), 2)) == (4,)
