@@ -60,7 +60,6 @@ from .series import (
 )
 from .identities import (
     CHECKS,
-    InvalidD,
     NotDistinct,
     TheoremReport,
     franklin,

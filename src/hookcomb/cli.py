@@ -54,7 +54,7 @@ def parse_class_spec(text: str) -> ConstraintClass:
         if sep and not arg.isdigit():
             raise ValueError(f"the parameter must be a positive integer, got {arg!r}")
         return ConstraintClass(name, int(arg)) if sep else ConstraintClass(name)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadArgument(f"bad class spec {text!r}: {exc}") from None
 
 

@@ -52,21 +52,13 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _require_perimeter(n: int) -> None:
-    _require_int(n, "perimeter")
-    if n < 1:
-        raise ValueError("perimeter must be at least 1")
-
-
 def fibonacci(n: int) -> int:
     """F(0) = 0, F(1) = F(2) = 1; exactly the count of distinct-part
     partitions with perimeter n for n >= 1.
 
     Fast doubling over the bits of n, high to low: from (F(k), F(k+1)),
     F(2k) = F(k) (2 F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2."""
-    _require_int(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _require_int(n, "n", 0)
     a, b = 0, 1
     for i in range(n.bit_length() - 1, -1, -1):
         a, b = a * (2 * b - a), a * a + b * b
@@ -89,7 +81,7 @@ def parts_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> tuple[tuple
     starting the next first part.  A member is a block of one.  Each
     rejected prefix is thus tested once.
     """
-    _require_perimeter(n)
+    _require_int(n, "perimeter", 1)
     first_break, parts, members = c.first_break, (n,), []
     while True:
         k = first_break(parts)
@@ -135,7 +127,7 @@ def enumerate_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> Iterato
     reverse-lexicographic part order: a depth-first walk backward through the
     class's automaton, one part at a time, into parts the reach table allows.
     """
-    _require_perimeter(n)
+    _require_int(n, "perimeter", 1)
     aut, reach = c.automaton, _reach(c.automaton, n)
 
     @cache
@@ -177,12 +169,13 @@ def enumerate_by_perimeter(n: int, c: ConstraintClass = UNRESTRICTED) -> Iterato
                 parts.pop()
 
 
-def _walk(aut: WordAutomaton, e_shift: int, n_weight: int) -> Iterator[int]:
-    """The total weight of the class's words of perimeter 1, 2, 3, ...: a word
-    weighs 2^``e_shift`` per E and ``n_weight`` per N, leading E excluded."""
-    vec, ends = [int(s == aut.start) for s in range(len(aut.on_e))], [t >= 0 for t in aut.on_n]
+def _walk(aut: WordAutomaton, e_shift: int, n_weight: int) -> Iterator[list[int]]:
+    """Per perimeter 1, 2, 3, ...: the total weight of the class's words by the
+    state they end in, a word weighing 2^``e_shift`` per E and ``n_weight`` per
+    N, leading E excluded; :func:`_closed` reads the walk's term off one."""
+    vec = [int(s == aut.start) for s in range(len(aut.on_e))]
     while True:
-        yield n_weight * sum(compress(vec, ends))
+        yield vec
         step = [0] * (len(vec) + 1)  # the last entry collects the refused letters
         for v, e, f in zip(vec, aut.on_e, aut.on_n):
             step[e] += v << e_shift
@@ -190,12 +183,20 @@ def _walk(aut: WordAutomaton, e_shift: int, n_weight: int) -> Iterator[int]:
         vec = step[:-1]
 
 
+def _closed(aut: WordAutomaton, vec: list[int], n_weight: int) -> int:
+    """The walk's term at ``vec``: the weight of the words a terminal N
+    closes, read where ``after_n`` is nonzero, at the states that take an N."""
+    return n_weight * sum(compress(vec, aut.after_n))
+
+
 @lru_cache(maxsize=None)
 def _rational(c: ConstraintClass, n_weight: int) -> tuple[list[int], list[int]]:
     """The walk of class ``c`` as P/Q = sum t(n) z^(n-1), Q(0) = 1 and Q
     minimal, by fraction-free Berlekamp-Massey (Massey, 1969) on 2s terms, as
-    Q divides det(I - zA) for s states; P and Q are integral (Fatou)."""
-    seq = list(islice(_walk(c.automaton, 0, n_weight), 2 * len(c.automaton.on_e)))
+    Q divides det(I - zA) for s states; Q is integral (Fatou).  Returns
+    t(1..2L) and Q, L its order."""
+    aut = c.automaton
+    seq = [_closed(aut, vec, n_weight) for vec in islice(_walk(aut, 0, n_weight), 2 * len(aut.on_e))]
     q, prev, length, shift, scale = [1], [1], 0, 1, 1
     for i in range(len(seq)):
         delta = sum(x * seq[i - j] for j, x in enumerate(q[: i + 1]))
@@ -204,8 +205,7 @@ def _rational(c: ConstraintClass, n_weight: int) -> tuple[list[int], list[int]]:
             if 2 * length <= i:
                 length, prev, scale, shift = i + 1 - length, old, delta, 0
         shift += 1
-    p = [sum(x * seq[i - j] for j, x in enumerate(q[: i + 1])) for i in range(length)]
-    return [x // q[0] for x in p], [x // q[0] for x in q[: length + 1]]
+    return seq[: 2 * length], [x // q[0] for x in q[: length + 1]]
 
 
 def _term(c: ConstraintClass, n: int, n_weight: int = 1) -> int:
@@ -215,18 +215,17 @@ def _term(c: ConstraintClass, n: int, n_weight: int = 1) -> int:
     bits of h and reduced through Q's nonzero taps.  Applying
     t(h + 1 + m) = sum_j r_j t(j + 1 + m) twice gives
     t(n) = sum_i r_i sum_j r_j t(i + j + b + 1), so the last step takes L
-    products of large numbers, not L (L + 1) / 2; t(1..2L) is read off P = Q T.
+    products of large numbers, not L (L + 1) / 2, of the t(1..2L) that
+    :func:`_rational` keeps.
     """
-    _require_perimeter(n)
-    if n <= 2 * len(c.automaton.on_e):
-        return next(islice(_walk(c.automaton, 0, n_weight), n - 1, None))
-    p, q = _rational(c, n_weight)
-    if not p:  # Q = 1: the walk is all zeros
+    _require_int(n, "perimeter", 1)
+    aut = c.automaton
+    if n <= 2 * len(aut.on_e):
+        return _closed(aut, next(islice(_walk(aut, 0, n_weight), n - 1, None)), n_weight)
+    t, q = _rational(c, n_weight)
+    if not t:  # Q = 1: the walk is all zeros
         return 0
-    taps, size = [(j, x) for j, x in enumerate(q) if j and x], len(p)
-    t = []  # t(1..2L)
-    for k, x in enumerate(p + [0] * size):
-        t.append(x - sum(y * t[k - j] for j, y in taps if j <= k))
+    taps, size = [(j, x) for j, x in enumerate(q) if j and x], len(t) // 2
     h, b = divmod(n - 1, 2)
     r = [1] + [0] * (size - 1)
     for bit in bin(h)[2:]:
@@ -258,14 +257,14 @@ def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
     Each key picks one largest part a, the word's number of E's: one walk
     with each E weighing 2^n holds its count in base-2^n digit a - 1.
     """
-    _require_perimeter(n)
+    _require_int(n, "perimeter", 1)
     if not isinstance(key, (LargestPart, NumParts, Rank)):
         raise InvalidKeyForClass(f"unsupported refinement key {key!r}")
     _require_int(v := key.value, "a key value")
     a = v if isinstance(key, LargestPart) else n + 1 - v if isinstance(key, NumParts) else (v + n + 1) // 2
     if not 1 <= a <= n or isinstance(key, Rank) and (v + n + 1) % 2:
         return 0
-    total = next(islice(_walk(c.automaton, n, 1), n - 1, None))
+    total = _closed(c.automaton, next(islice(_walk(c.automaton, n, 1), n - 1, None)), 1)
     return (total >> (n * (a - 1))) & ((1 << n) - 1)
 
 
@@ -282,16 +281,14 @@ _EXCESS_BY_RESIDUE = (0, -1, -1, 0, 1, 1)
 def excess_e(n: int) -> int:
     """Even-length minus odd-length count over distinct-part partitions of
     perimeter ``n``: 0, -1 or +1 according to n mod 6."""
-    _require_perimeter(n)
+    _require_int(n, "perimeter", 1)
     return _EXCESS_BY_RESIDUE[n % 6]
 
 
 def partitions_of_size(n: int, distinct: bool = False) -> tuple[tuple[int, ...], ...]:
     """All parts tuples summing to ``n`` (optionally with strictly
     decreasing parts), reverse-lexicographic."""
-    _require_int(n, "size")
-    if n < 0:
-        raise ValueError("size must be non-negative")
+    _require_int(n, "size", 0)
     return tuple(_gen_by_size(n, n, distinct))
 
 
@@ -308,9 +305,7 @@ def _gen_by_size(remaining: int, cap: int, distinct: bool):
 def enumerate_by_size(max_size: int, distinct_only: bool = False) -> Iterator[Partition]:
     """All partitions of every size 1..``max_size``, each exactly once,
     sizes ascending and reverse-lexicographic within a size."""
-    _require_int(max_size, "max_size")
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    _require_int(max_size, "max_size", 1)
     for n in range(1, max_size + 1):
         # each part is in 1..the part before it (or n): valid by construction
         for parts in _gen_by_size(n, n, distinct_only):

@@ -9,7 +9,10 @@ fail with that counterexample, or pass when the scan ends without one.
 Where several routes compute one value, :func:`_disagreement` names the
 first route that got it wrong.  Checks never raise on a mathematical
 mismatch, only on invalid parameters, and those raise when the check is
-called, before any scan work starts.
+called, before any scan work starts: each integer parameter goes through
+:func:`hookcomb.partitions._require_int`, so a bool or a float raises
+``TypeError`` and a depth below its minimum ``ValueError``, as a check
+over an empty range would compare nothing and still report a pass.
 
 Every brute-force route lists the partitions of a perimeter through one
 enumerator, :func:`hookcomb.counting.parts_by_perimeter`, which walks them
@@ -51,6 +54,7 @@ from .partitions import (
     ODD,
     Partition,
     UNRESTRICTED,
+    _require_int,
     d_distinct,
     g_class,
     mod_one,
@@ -63,34 +67,27 @@ class NotDistinct(ValueError):
     pass
 
 
-class InvalidD(ValueError):
-    pass
-
-
 @dataclass
 class TheoremReport:
     """Outcome of one verification run.
 
-    ``status`` is "pass" or "fail"; a counterexample (inputs plus the
-    conflicting values) is present exactly when the status is "fail".
-    Serialized reports are stable across runs apart from ``elapsed_ms``.
+    ``status`` is "fail" when there is a counterexample (inputs plus the
+    conflicting values) and "pass" when there is none.  Serialized reports
+    are stable across runs apart from ``elapsed_ms``.
     """
 
     check_id: str
     params: dict
-    status: str
     counterexample: dict | None = None
     elapsed_ms: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be 'pass' or 'fail', got {self.status!r}")
-        if (self.status == "fail") != (self.counterexample is not None):
-            raise ValueError("fail status and counterexample must appear together")
+    @property
+    def status(self) -> str:
+        return "pass" if self.counterexample is None else "fail"
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
 
     def as_dict(self) -> dict:
         out = {"check_id": self.check_id, "params": self.params, "status": self.status}
@@ -100,27 +97,13 @@ class TheoremReport:
         return out
 
 
-def _require(minimum: int, **params: int) -> None:
-    """Reject a depth below ``minimum``: a check over an empty range would
-    compare nothing and still report a pass."""
-    for name, value in params.items():
-        if value < minimum:
-            raise ValueError(f"{name} must be at least {minimum}, got {value}")
-
-
 def _report(check_id: str, params: dict, scan: Iterator[dict]) -> TheoremReport:
     """Time ``scan`` up to its first counterexample: fail with it, or pass
     when the scan ends without one."""
     clock = time.perf_counter
     t0 = clock()
     counterexample = next(scan, None)
-    return TheoremReport(
-        check_id=check_id,
-        params=params,
-        status="pass" if counterexample is None else "fail",
-        counterexample=counterexample,
-        elapsed_ms=(clock() - t0) * 1000.0,
-    )
+    return TheoremReport(check_id, params, counterexample, (clock() - t0) * 1000.0)
 
 
 def _disagreement(case: dict, label: str, expected: object, routes: dict) -> Iterator[dict]:
@@ -235,7 +218,7 @@ def verify_franklin(max_size: int = 40) -> TheoremReport:
     distinct-part partitions of size <= max_size; fixed points sit exactly
     at the generalized pentagonal sizes, one each, with the staircase shape
     the surviving series terms predict."""
-    _require(1, max_size=max_size)
+    _require_int(max_size, "max_size", 1)
     return _report("franklin", {"max_size": max_size}, _scan_franklin(max_size))
 
 
@@ -259,8 +242,8 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
     """Distinct-part and odd-part partitions with perimeter n are
     equinumerous, counted by the Fibonacci number F(n): enumeration up to
     enum_limit, the word-automaton count up to max_n."""
-    _require(1, max_n=max_n)
-    _require(0, enum_limit=enum_limit)
+    _require_int(max_n, "max_n", 1)
+    _require_int(enum_limit, "enum_limit", 0)
     params = {"max_n": max_n, "enum_limit": enum_limit}
     return _report("euler-analogue", params, _scan_euler_analogue(max_n, enum_limit))
 
@@ -300,7 +283,7 @@ def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
     that every other brute-force route runs lists that many, each a
     distinct boundary word by the codec route, and the automaton count
     agrees."""
-    _require(1, max_n=max_n)
+    _require_int(max_n, "max_n", 1)
     return _report("powers-of-two", {"max_n": max_n}, _scan_powers_of_two(max_n))
 
 
@@ -340,7 +323,7 @@ def _scan_refinements(max_n: int) -> Iterator[dict]:
 def verify_refinements(max_n: int = 14) -> TheoremReport:
     """The three refined equinumerations between distinct-part and odd-part
     partitions of fixed perimeter, with their binomial counts."""
-    _require(1, max_n=max_n)
+    _require_int(max_n, "max_n", 1)
     return _report("refinements", {"max_n": max_n}, _scan_refinements(max_n))
 
 
@@ -385,8 +368,8 @@ def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> Theorem
     perimeter follows the period-6 pattern 0, -1, -1, 0, 1, 1; four
     computations (closed form, the automaton's parity split, binomial
     sums, enumeration) and the series expansion of -q / (1 - q + q^2) agree."""
-    _require(1, max_n=max_n)
-    _require(0, enum_limit=enum_limit)
+    _require_int(max_n, "max_n", 1)
+    _require_int(enum_limit, "enum_limit", 0)
     params = {"max_n": max_n, "enum_limit": enum_limit}
     return _report("pentagonal-analogue", params, _scan_pentagonal_analogue(max_n, enum_limit))
 
@@ -441,9 +424,8 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     equinumerous at every perimeter, match the word-automaton count, and the
     block grammar spells each member of the residue-and-gap class exactly
     once: its sequences are as many as the members, and spell the same set."""
-    if d < 1:
-        raise InvalidD("d must be a positive integer")
-    _require(1, max_n=max_n)
+    _require_int(d, "d", 1)
+    _require_int(max_n, "max_n", 1)
     return _report("d-chain", {"d": d, "max_n": max_n}, _scan_d_chain(d, max_n))
 
 
@@ -475,21 +457,25 @@ def verify_gf_coefficients(c: ConstraintClass, qbound: int = 12) -> TheoremRepor
     partitions of x^(largest) y^(length) q^(perimeter); and at each
     perimeter the engine enumerator lists the brute-force partitions, in
     the same order."""
-    _require(1, qbound=qbound)
+    _require_int(qbound, "qbound", 1)
     return _report("gf-coefficients", {"class": str(c), "qbound": qbound}, _scan_gf_coefficients(c, qbound))
 
 
-def _all_classes(max_d: int = 5) -> list[ConstraintClass]:
+# the gate's gap parameters d: one d-chain job and three gf-coefficients classes each
+_GAP_PARAMETERS = (1, 2, 3, 4, 5)
+
+
+def _all_classes() -> list[ConstraintClass]:
     out = [UNRESTRICTED, DISTINCT, ODD]
-    for d in range(1, max_d + 1):
+    for d in _GAP_PARAMETERS:
         out.extend([d_distinct(d), mod_one(d), g_class(d)])
     return out
 
 
-def verify_gf_all(qbound: int = 12, max_d: int = 5) -> TheoremReport:
-    """verify_gf_coefficients across every class (gap parameters 1..max_d)."""
-    _require(1, qbound=qbound)
-    classes = _all_classes(max_d)
+def verify_gf_all(qbound: int = 12) -> TheoremReport:
+    """verify_gf_coefficients across every class, at each of the gate's gap parameters."""
+    _require_int(qbound, "qbound", 1)
+    classes = _all_classes()
     params = {"qbound": qbound, "classes": [str(c) for c in classes]}
     scan = chain.from_iterable(_scan_gf_coefficients(c, qbound) for c in classes)
     return _report("gf-coefficients", params, scan)
@@ -510,7 +496,7 @@ def _nested_sum(qbound: int, levels: Iterable[tuple[MultiPoly, MultiPoly, MultiP
     there.  Each level is one division, of num_n times the inner sum by
     den_n, truncated at ``qbound``: the inner sum is known to ``qbound``,
     so that level is too."""
-    _require(0, qbound=qbound)
+    _require_int(qbound, "qbound", 0)
     kept = []
     depth = 0  # q-valuation of r_0 ... r_(n-1)
     for c, num, den in levels:
@@ -568,7 +554,7 @@ def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
     alternating q-series, raw enumeration, and the surviving pentagonal
     terms.  Enumeration after Franklin cancellation is checked as a fourth
     route."""
-    _require(1, qbound=qbound)
+    _require_int(qbound, "qbound", 1)
     return _report("andrews-identity", {"qbound": qbound}, _scan_andrews_identity(qbound))
 
 
@@ -640,7 +626,7 @@ def verify_refined_identity(qbound: int = 15) -> TheoremReport:
     agree; substituting x -> y, y -> -y collapses it to the single-variable
     identity; and regrading the enumeration by perimeter recovers the
     rational form for distinct parts."""
-    _require(1, qbound=qbound)
+    _require_int(qbound, "qbound", 1)
     g_limit = regrade_limit(qbound)
     params = {"qbound": qbound, "regrade_perimeter_limit": g_limit}
     return _report("refined-identity", params, _scan_refined_identity(qbound, g_limit))
@@ -692,7 +678,7 @@ def verify_rogers_fine(qbound: int = 10) -> TheoremReport:
     """Both sides of the Rogers-Fine transformation, specialized with
     alpha = aq, beta = bq, tau = btq so every coefficient is an integer
     polynomial in a, b, t, agree termwise to the q-degree bound."""
-    _require(1, qbound=qbound)
+    _require_int(qbound, "qbound", 1)
     params = {"qbound": qbound, "alpha": "a*q", "beta": "b*q", "tau": "b*t*q"}
     return _report("rogers-fine", params, _scan_rogers_fine(qbound))
 
@@ -744,8 +730,8 @@ def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
     every argument (multiplier form) up to max_n; the parity splits are
     checked against the binomial sums at every argument, and the fast
     counts against enumeration for small arguments."""
-    _require(_CONGRUENCE_MIN_N, max_n=max_n)
-    _require(0, enum_limit=enum_limit)
+    _require_int(max_n, "max_n", _CONGRUENCE_MIN_N)
+    _require_int(enum_limit, "enum_limit", 0)
     return _report("congruences", {"max_n": max_n, "enum_limit": enum_limit}, _scan_congruences(max_n, enum_limit))
 
 
@@ -766,7 +752,8 @@ def _scan_fibonacci(max_add: int, max_div: int) -> Iterator[dict]:
 def verify_fibonacci(max_add: int = 30, max_div: int = 60) -> TheoremReport:
     """The addition formula F(m+n) = F(m+1) F(n) + F(m) F(n-1) and the
     divisibility rule m | n implies F(m) | F(n)."""
-    _require(1, max_add=max_add, max_div=max_div)
+    _require_int(max_add, "max_add", 1)
+    _require_int(max_div, "max_div", 1)
     return _report("fibonacci", {"max_add": max_add, "max_div": max_div}, _scan_fibonacci(max_add, max_div))
 
 
@@ -778,15 +765,17 @@ def scan_congruence(
     positive one up to max_n?  ``residue`` must lie in 0..modulus - 1.
     Plumbing for exploration; nothing beyond the seven stated congruences
     is asserted anywhere."""
-    _require(1, step=step, modulus=modulus)
+    _require_int(step, "step", 1)
+    _require_int(offset, "offset")
+    _require_int(modulus, "modulus", 1)
+    _require_int(residue, "residue")
     if not 0 <= residue < modulus:
         raise ValueError(f"residue must lie in 0..{modulus - 1}, got {residue}")
-    args = _congruence_arguments(step, offset, max_n)
-    _require(args.start, max_n=max_n)
+    _require_int(max_n, "max_n", _congruence_arguments(step, offset, 0).start)
     params = {"step": step, "offset": offset, "modulus": modulus, "residue": residue, "max_n": max_n}
     scan = (
         {"argument": arg, "h_D": value, "modulus": modulus, "residue": residue}
-        for arg in args
+        for arg in _congruence_arguments(step, offset, max_n)
         if (value := fibonacci(arg)) % modulus != residue
     )
     return _report("congruence-scan", params, scan)
@@ -810,8 +799,6 @@ CHECKS: dict[str, Callable[..., TheoremReport]] = {
     "congruences": verify_congruences,
     "fibonacci": verify_fibonacci,
 }
-
-_D_CHAIN_DEFAULT_RANGE = (1, 2, 3, 4, 5)
 
 # The slowest reports of ``verify all`` at their default depths; a pool
 # starts these before the rest, so that no long job starts last.  Measured
@@ -867,7 +854,7 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     for cid in ids:
         kwargs = {k: v for k, v in overrides.items() if k in accepted[cid]}
         if cid == "d-chain":
-            ds = [kwargs.pop("d")] if "d" in kwargs else list(_D_CHAIN_DEFAULT_RANGE)
+            ds = [kwargs.pop("d")] if "d" in kwargs else list(_GAP_PARAMETERS)
             jobs.extend((cid, {"d": d, **kwargs}) for d in ds)
         else:
             jobs.append((cid, kwargs))

@@ -55,9 +55,15 @@ class NotWeaklyDecreasing(PartitionError):
     pass
 
 
-def _require_int(value, what: str) -> None:
+def _require_int(value, what: str, minimum: int | None = None) -> None:
+    """The library's one check on a scalar integer argument: ``value`` must
+    be an int, not a bool or float (``TypeError``), and at least ``minimum``
+    when one is given (``ValueError``).  Callers check before any work, so a
+    depth below its minimum never yields an empty scan that reads as a pass."""
     if type(value) is not int:
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
 
 
 def _validate_parts(parts: tuple[int, ...]) -> None:
@@ -167,8 +173,8 @@ class ConstraintClass:
         if isinstance(_RULES[self.kind], tuple):
             if self.d is not None:
                 raise ValueError(f"class {self.kind!r} takes no parameter")
-        elif not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise ValueError(f"class {self.kind!r} needs an integer parameter d >= 1")
+        else:
+            _require_int(self.d, "d", 1)
 
     def __str__(self) -> str:
         return self.kind if self.d is None else f"{self.kind}:{self.d}"

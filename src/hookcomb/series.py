@@ -232,9 +232,7 @@ class MultiPoly:
         return _unchecked(self.variables, _unpacked(out, shifts, width), bound, qi)
 
     def __pow__(self, n: int) -> "MultiPoly":
-        _require_int(n, "an exponent")
-        if n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        _require_int(n, "an exponent", 0)
         result = MultiPoly.constant(1, self.variables, self.qbound)
         base = self
         while n:
@@ -410,9 +408,7 @@ def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
     r_j = num_j - (den_1 r_(j-1) + ... + den_j r_0), where den_i is the
     q-degree-i part of ``den``, whose q-degree-0 part :class:`RationalGF`
     has checked is exactly 1.  Only the few layers that den has are visited."""
-    _require_int(qbound, "qbound")
-    if qbound < 0:
-        raise ValueError("qbound must be non-negative")
+    _require_int(qbound, "qbound", 0)
     variables, qi = den.variables, den._qi
     rest = {e: c for e, c in den._terms.items() if 0 < e[qi] <= qbound}
     reach = max((max(e) * qbound // e[qi] for e in rest), default=0)
@@ -447,9 +443,7 @@ def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
 
 def pochhammer(base: MultiPoly, n: int, qbound: int | None = None) -> MultiPoly:
     """Product (1 - base) (1 - base*q) ... (1 - base*q^(n-1)); 1 for n = 0."""
-    _require_int(n, "n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _require_int(n, "n", 0)
     bound = _min_bound(base.qbound, qbound)
     result = MultiPoly.constant(1, base.variables, bound)
     q = MultiPoly.monomial(base.variables, 1, {"q": 1}, bound)

@@ -10,8 +10,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from hookcomb import (
     DISTINCT,
     ODD,
@@ -34,7 +32,6 @@ from hookcomb import (
     verify_refined_identity,
     verify_rogers_fine,
 )
-from hookcomb.cli import main
 from hookcomb.counting import binom, parts_by_perimeter
 from hookcomb.identities import gclass_by_block_grammar
 from hookcomb.partitions import parts_are_member

@@ -41,7 +41,7 @@ def test_parse_class_spec():
 
 
 def test_parse_class_spec_reads_back_every_class_name():
-    for c in identities._all_classes(5):
+    for c in identities._all_classes():
         assert parse_class_spec(str(c)) == c
 
 
@@ -389,7 +389,7 @@ def test_main_module_runs_nothing_when_imported_by_a_worker(capsys):
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     def failing_check():
-        return TheoremReport("always-fails", {}, "fail", counterexample={"n": 1})
+        return TheoremReport("always-fails", {}, counterexample={"n": 1})
 
     monkeypatch.setitem(CHECKS, "always-fails", failing_check)
     code, out, _ = run(capsys, "verify", "always-fails")

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from collections import Counter, deque
 
@@ -110,7 +109,7 @@ def test_count_equals_stream_length(c):
         assert count_by_perimeter(n, c) == sum(1 for _ in enumerate_by_perimeter(n, c))
 
 
-@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+@pytest.mark.parametrize("c", _all_classes(), ids=str)
 def test_enumeration_matches_brute_force_filter(c):
     for n in range(1, 15):
         assert [p.parts for p in enumerate_by_perimeter(n, c)] == brute_force_members(n, c), n
@@ -170,13 +169,13 @@ def test_fibonacci_against_gap_recurrence():
         assert fibonacci(n) == windowed_count(n, DISTINCT)
 
 
-@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+@pytest.mark.parametrize("c", _all_classes(), ids=str)
 def test_counts_at_large_perimeter_match_windowed_recurrence(c):
     for n in PERIMETERS:
         assert count_by_perimeter(n, c) == windowed_count(n, c), n
 
 
-@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+@pytest.mark.parametrize("c", _all_classes(), ids=str)
 def test_counts_to_twice_the_state_count_read_the_walk(c, monkeypatch):
     def refuse(*args):
         raise AssertionError("no recurrence is needed for n <= 2s")
@@ -285,7 +284,7 @@ def test_count_refined_matches_enumeration():
                     assert count_refined(n, key_type(v), c) == hist.get(v, 0), (n, c, key_type, v)
 
 
-@pytest.mark.parametrize("c", _all_classes(5), ids=str)
+@pytest.mark.parametrize("c", _all_classes(), ids=str)
 def test_count_refined_matches_brute_force_histogram(c):
     stats = (
         (LargestPart, lambda parts: parts[0]),

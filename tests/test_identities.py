@@ -1,11 +1,11 @@
 import concurrent.futures
+import inspect
 import json
 
 import pytest
 
 from hookcomb import (
     CHECKS,
-    InvalidD,
     NotDistinct,
     TheoremReport,
     count_by_perimeter,
@@ -135,7 +135,7 @@ def test_checks_pass(report):
 
 
 def test_d_chain_rejects_bad_d():
-    with pytest.raises(InvalidD):
+    with pytest.raises(ValueError, match="^d must be at least 1, got 0$"):
         verify_d_chain(0)
 
 
@@ -162,7 +162,7 @@ def test_brute_filter_matches_the_membership_test():
 
     for n in range(1, 17):
         table = parts_by_perimeter(n)
-        for c in _all_classes(5):
+        for c in _all_classes():
             assert parts_by_perimeter(n, c) == tuple(p for p in table if parts_are_member(p, c)), (n, str(c))
 
 
@@ -172,8 +172,8 @@ def test_brute_filter_refuses_a_perimeter_below_one(n):
     from hookcomb.counting import parts_by_perimeter
     from hookcomb.identities import _all_classes
 
-    for c in _all_classes(5):
-        with pytest.raises(ValueError, match="perimeter must be at least 1"):
+    for c in _all_classes():
+        with pytest.raises(ValueError, match=f"^perimeter must be at least 1, got {n}$"):
             parts_by_perimeter(n, c)
 
 
@@ -182,7 +182,7 @@ def test_brute_filter_tests_each_rejected_prefix_once():
     from hookcomb.identities import _all_classes
     from hookcomb.partitions import ConstraintClass
 
-    for c in _all_classes(5):
+    for c in _all_classes():
         if c.kind == "any":
             continue
         fresh = ConstraintClass(c.kind, c.d)  # its own binding, not the shared one's
@@ -530,15 +530,11 @@ def test_report_schema():
     json.dumps(data)  # serializable
 
 
-def test_report_fail_needs_counterexample():
-    with pytest.raises(ValueError):
-        TheoremReport("x", {}, "fail")
-    with pytest.raises(ValueError):
-        TheoremReport("x", {}, "pass", counterexample={"n": 1})
-    with pytest.raises(ValueError):
-        TheoremReport("x", {}, "maybe")
-    with pytest.raises(ValueError):
-        TheoremReport("x", {}, "maybe", counterexample={"n": 1})
+def test_report_status_follows_the_counterexample():
+    report = TheoremReport("x", {"max_n": 3}, counterexample={"n": 1})
+    assert (report.status, report.passed) == ("fail", False)
+    assert list(report.as_dict()) == ["check_id", "params", "status", "counterexample", "elapsed_ms"]
+    assert (TheoremReport("x", {}).status, TheoremReport("x", {}).passed) == ("pass", True)
 
 
 def test_reports_deterministic():
@@ -649,7 +645,7 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     [
         # congruences comes before d-chain in report order, and needs 6
         ({"max_n": 0}, ValueError, "max_n must be at least 6, got 0"),
-        ({"d": 0}, InvalidD, "d must be a positive integer"),
+        ({"d": 0}, ValueError, "d must be at least 1, got 0"),
         # a misspelt override must not leave every check at its default depth
         ({"max_nn": 3}, ValueError, "all does not take max_nn"),
     ],
@@ -694,6 +690,32 @@ def test_run_checks_raises_what_the_serial_order_raises(cpus, overrides, error, 
 def test_checks_reject_empty_ranges(check, kwargs):
     with pytest.raises(ValueError):
         check(**kwargs)
+
+
+# every parameter of every registered check (d-chain with its d) and of
+# scan_congruence is an integer: (check, the other arguments it needs, name)
+INTEGER_PARAMETERS = [
+    (check, base, name)
+    for check, base in [
+        *((CHECKS[cid], {"d": 1} if cid == "d-chain" else {}) for cid in sorted(CHECKS)),
+        (scan_congruence, {"step": 3, "offset": 0, "modulus": 2, "residue": 0}),
+    ]
+    for name in inspect.signature(check).parameters
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
+@pytest.mark.parametrize(
+    "check, base, name", INTEGER_PARAMETERS, ids=[f"{c.__name__}-{name}" for c, _, name in INTEGER_PARAMETERS]
+)
+def test_checks_refuse_bool_and_float_parameters_before_scanning(check, base, name, bad, monkeypatch):
+    # True >= 1 and 2.0 >= 1, so a range check alone lets both through
+    def no_scan(*args):
+        raise AssertionError("scan work started")
+
+    monkeypatch.setattr(identities, "_report", no_scan)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
+        check(**{**base, name: bad})
 
 
 def test_gf_all_rejects_an_empty_range_before_scanning(monkeypatch):
