@@ -10,12 +10,8 @@ q-series identities and congruences that govern them.
 from .partitions import (
     ConstraintClass,
     DISTINCT,
-    EmptyPartition,
-    NonPositivePart,
-    NotWeaklyDecreasing,
     ODD,
     Partition,
-    PartitionError,
     UNRESTRICTED,
     conjugate,
     d_distinct,
@@ -26,16 +22,10 @@ from .partitions import (
     rank,
 )
 from .profile import (
-    EmptyWord,
-    InvalidLetter,
-    MustEndWithN,
-    MustStartWithE,
-    ProfileWord,
     from_profile,
     to_profile,
 )
 from .counting import (
-    InvalidKeyForClass,
     LargestPart,
     NumParts,
     Rank,
@@ -43,24 +33,19 @@ from .counting import (
     count_parity_split,
     count_refined,
     enumerate_by_perimeter,
-    enumerate_by_size,
     excess_e,
     fibonacci,
 )
 from .series import (
     MultiPoly,
-    NonUnitDenominator,
     RationalGF,
-    VariableMismatch,
     expand,
     gf_of_class,
     pochhammer,
-    poly_gens,
     series_inverse,
 )
 from .identities import (
     CHECKS,
-    NotDistinct,
     TheoremReport,
     franklin,
     run_checks,

@@ -280,7 +280,7 @@ def _cmd_table(args) -> int:
 def _cmd_word(args) -> int:
     if args.encode:
         p = make_partition(int(x) for x in args.value.split(","))
-        print(to_profile(p).text)
+        print(to_profile(p))
     else:
         print(partition_text(from_profile(args.value)))
     return 0

@@ -1,4 +1,5 @@
-"""Enumeration streams and exact counts for partitions graded by perimeter.
+"""Enumeration streams and exact counts for partitions graded by perimeter,
+and the partitions of a size as one list.
 
 The engine knows a class only through its word automaton with s states
 (:class:`hookcomb.partitions.WordAutomaton`): a count is the walk's n-th
@@ -21,10 +22,6 @@ from itertools import accumulate, compress, islice, zip_longest
 from typing import Iterator
 
 from .partitions import DISTINCT, ConstraintClass, Partition, UNRESTRICTED, WordAutomaton, _require_int, _unchecked
-
-
-class InvalidKeyForClass(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -259,7 +256,7 @@ def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
     """
     _require_int(n, "perimeter", 1)
     if not isinstance(key, (LargestPart, NumParts, Rank)):
-        raise InvalidKeyForClass(f"unsupported refinement key {key!r}")
+        raise ValueError(f"unsupported refinement key {key!r}")
     _require_int(v := key.value, "a key value")
     a = v if isinstance(key, LargestPart) else n + 1 - v if isinstance(key, NumParts) else (v + n + 1) // 2
     if not 1 <= a <= n or isinstance(key, Rank) and (v + n + 1) % 2:
@@ -287,7 +284,8 @@ def excess_e(n: int) -> int:
 
 def partitions_of_size(n: int, distinct: bool = False) -> tuple[tuple[int, ...], ...]:
     """All parts tuples summing to ``n`` (optionally with strictly
-    decreasing parts), reverse-lexicographic."""
+    decreasing parts), reverse-lexicographic: the size-graded lists the
+    q-series checks sum over."""
     _require_int(n, "size", 0)
     return tuple(_gen_by_size(n, n, distinct))
 
@@ -300,14 +298,3 @@ def _gen_by_size(remaining: int, cap: int, distinct: bool):
         nxt = first - 1 if distinct else first
         for rest in _gen_by_size(remaining - first, nxt, distinct):
             yield (first,) + rest
-
-
-def enumerate_by_size(max_size: int, distinct_only: bool = False) -> Iterator[Partition]:
-    """All partitions of every size 1..``max_size``, each exactly once,
-    sizes ascending and reverse-lexicographic within a size."""
-    _require_int(max_size, "max_size", 1)
-    for n in range(1, max_size + 1):
-        # each part is in 1..the part before it (or n): valid by construction
-        for parts in _gen_by_size(n, n, distinct_only):
-            yield _unchecked(parts)
-

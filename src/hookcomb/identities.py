@@ -60,11 +60,7 @@ from .partitions import (
     mod_one,
 )
 from .profile import block_word_bits, parts_from_word_bits, word_bits_from_parts
-from .series import MultiPoly, RationalGF, _monomials, expand, gf_of_class, poly_gens
-
-
-class NotDistinct(ValueError):
-    pass
+from .series import MultiPoly, RationalGF, _monomials, expand, gf_of_class
 
 
 @dataclass
@@ -149,7 +145,7 @@ def franklin(p: Partition) -> Partition | None:
     """
     parts = p.parts
     if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
-        raise NotDistinct(f"{p!r} does not have distinct parts")
+        raise ValueError(f"{p!r} does not have distinct parts")
     return Partition(image) if (image := _franklin_parts(parts)) else None
 
 
@@ -351,9 +347,8 @@ def _parity_split_routes(n: int, enum_limit: int) -> dict[str, list[int]]:
 
 
 def _scan_pentagonal_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
-    (q,) = poly_gens("q")
-    one = MultiPoly.constant(1, ("q",))
-    series = expand(RationalGF(-q, one - q + q * q), max_n)
+    m = _monomials(("q",))
+    series = expand(RationalGF(m(-1, q=1), m() - m(q=1) + m(q=2)), max_n)
     for n in range(1, max_n + 1):
         split = list(count_parity_split(n))
         yield from _disagreement({"n": n}, "parity_split", split, _parity_split_routes(n, enum_limit))
@@ -451,16 +446,6 @@ def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
             yield {"class": str(c), "n": n, "versus": "engine enumeration", "index": i, **sample}
 
 
-def verify_gf_coefficients(c: ConstraintClass, qbound: int = 12) -> TheoremReport:
-    """The closed rational form for class ``c`` matches, coefficient by
-    coefficient in x, y and q, the brute-force sum over enumerated
-    partitions of x^(largest) y^(length) q^(perimeter); and at each
-    perimeter the engine enumerator lists the brute-force partitions, in
-    the same order."""
-    _require_int(qbound, "qbound", 1)
-    return _report("gf-coefficients", {"class": str(c), "qbound": qbound}, _scan_gf_coefficients(c, qbound))
-
-
 # the gate's gap parameters d: one d-chain job and three gf-coefficients classes each
 _GAP_PARAMETERS = (1, 2, 3, 4, 5)
 
@@ -472,8 +457,12 @@ def _all_classes() -> list[ConstraintClass]:
     return out
 
 
-def verify_gf_all(qbound: int = 12) -> TheoremReport:
-    """verify_gf_coefficients across every class, at each of the gate's gap parameters."""
+def verify_gf_coefficients(qbound: int = 12) -> TheoremReport:
+    """For every class, at each of the gate's gap parameters, the closed
+    rational form matches, coefficient by coefficient in x, y and q, the
+    brute-force sum over enumerated partitions of x^(largest) y^(length)
+    q^(perimeter); and at each perimeter the engine enumerator lists the
+    brute-force partitions, in the same order."""
     _require_int(qbound, "qbound", 1)
     classes = _all_classes()
     params = {"qbound": qbound, "classes": [str(c) for c in classes]}
@@ -791,7 +780,7 @@ CHECKS: dict[str, Callable[..., TheoremReport]] = {
     "refinements": verify_refinements,
     "pentagonal-analogue": verify_pentagonal_analogue,
     "d-chain": verify_d_chain,
-    "gf-coefficients": verify_gf_all,
+    "gf-coefficients": verify_gf_coefficients,
     "franklin": verify_franklin,
     "andrews-identity": verify_andrews_identity,
     "refined-identity": verify_refined_identity,

@@ -5,10 +5,12 @@ The central statistic here is the *perimeter* ``parts[0] + len(parts) - 1``,
 which equals the largest hook length of the Young diagram (the hook of the
 top-left cell runs along the whole first row and first column).
 
-:class:`Partition` and :func:`make_partition` validate what they are given.
-The library's own enumerators and :func:`conjugate` build parts that are
-valid by construction and wrap them with :func:`_unchecked`, which skips
-that check; it is private because its caller must guarantee validity.
+:class:`Partition` and :func:`make_partition` validate what they are given
+and refuse it with a plain ``ValueError``, which names the first offending
+index.  The library's own enumerator and :func:`conjugate` build parts
+that are valid by construction and wrap them with :func:`_unchecked`,
+which skips that check; it is private because its caller must guarantee
+validity.
 
 Every class but ``gclass`` is one rule (g, m), :attr:`ConstraintClass.rule`.
 Each class has a minimal automaton on its boundary words
@@ -31,30 +33,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 
-class PartitionError(ValueError):
-    """Rejected input to :func:`make_partition`.
-
-    ``index`` points at the first offending entry, or is ``None`` when the
-    problem is not tied to a position (empty input).
-    """
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
-class EmptyPartition(PartitionError):
-    pass
-
-
-class NonPositivePart(PartitionError):
-    pass
-
-
-class NotWeaklyDecreasing(PartitionError):
-    pass
-
-
 def _require_int(value, what: str, minimum: int | None = None) -> None:
     """The library's one check on a scalar integer argument: ``value`` must
     be an int, not a bool or float (``TypeError``), and at least ``minimum``
@@ -67,16 +45,16 @@ def _require_int(value, what: str, minimum: int | None = None) -> None:
 
 
 def _validate_parts(parts: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` for an empty tuple, or naming the index of the
+    first part that is not a positive int or exceeds the part before it."""
     if not parts:
-        raise EmptyPartition("a partition must have at least one part")
+        raise ValueError("a partition must have at least one part")
     for i, x in enumerate(parts):
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise NonPositivePart(f"part at index {i} is {x!r}, expected a positive integer", index=i)
+            raise ValueError(f"part at index {i} is {x!r}, expected a positive integer")
     for i in range(1, len(parts)):
         if parts[i] > parts[i - 1]:
-            raise NotWeaklyDecreasing(
-                f"part at index {i} ({parts[i]}) exceeds the previous part ({parts[i - 1]})", index=i
-            )
+            raise ValueError(f"part at index {i} ({parts[i]}) exceeds the previous part ({parts[i - 1]})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,9 +62,9 @@ class Partition:
     """A non-empty weakly decreasing tuple of positive integers.
 
     Construct through :func:`make_partition` for friendly coercion; direct
-    construction also validates.  The library's enumerators
-    (``enumerate_by_perimeter``, ``enumerate_by_size``) and :func:`conjugate`
-    build parts that are valid by construction and skip the check.  Parts
+    construction also validates.  The library's enumerator
+    ``enumerate_by_perimeter`` and :func:`conjugate` build parts that are
+    valid by construction and skip the check.  Parts
     beyond about 10**6 are not rejected but are outside the supported
     envelope of the counting routines.
     """
@@ -133,9 +111,9 @@ def _unchecked(parts: tuple[int, ...]) -> Partition:
 def make_partition(parts: Sequence[int] | Iterable[int]) -> Partition:
     """Validate ``parts`` and return a :class:`Partition`.
 
-    Raises :class:`EmptyPartition`, :class:`NonPositivePart` or
-    :class:`NotWeaklyDecreasing`; the latter two carry the first offending
-    index on the exception.
+    Raises ``ValueError`` for an empty sequence, a part that is not a
+    positive int (a bool is not) or a part above the one before it; the
+    message names the first offending index.
     """
     return Partition(tuple(parts))
 
@@ -174,6 +152,8 @@ class ConstraintClass:
             if self.d is not None:
                 raise ValueError(f"class {self.kind!r} takes no parameter")
         else:
+            if self.d is None:
+                raise TypeError(f"class {self.kind!r} needs a parameter d, as in '{self.kind}:2'")
             _require_int(self.d, "d", 1)
 
     def __str__(self) -> str:

@@ -7,8 +7,9 @@ a partition with perimeter n gives a word of length n + 1 (one E per column
 of the first row, one N per part).  This makes the words of length n + 1 a
 faithful code for the partitions with perimeter n.
 
-Words are stored as packed bits (bit i set means letter i is N), so a word
-is one int; they render as plain E/N text.
+:func:`to_profile` and :func:`from_profile` speak E/N text and check what
+they are given.  The bulk routes work on packed bits instead (bit i set
+means letter i is N), so a word is one int and its length, unchecked.
 
 A word of the class ``g_class(d)`` splits as an initial block E N^k, middle
 blocks of types I (``E^{d+1} N^j``) and II (``N E^d N^j``) that alternate
@@ -19,86 +20,19 @@ position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .partitions import Partition
 
 
-class ProfileWordError(ValueError):
-    pass
-
-
-class EmptyWord(ProfileWordError):
-    pass
-
-
-class MustStartWithE(ProfileWordError):
-    pass
-
-
-class MustEndWithN(ProfileWordError):
-    pass
-
-
-class InvalidLetter(ProfileWordError):
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
-@dataclass(frozen=True)
-class ProfileWord:
-    """An E/N word that begins with E and ends with N.
-
-    ``bits`` packs the letters little-endian: bit i set means letter i is N.
-    """
-
-    length: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise EmptyWord("a profile word needs at least one letter")
-        if self.bits >> self.length:
-            raise ValueError("bits outside the declared length")
-        if self.bits & 1:
-            raise MustStartWithE("a profile word must start with E")
-        if not (self.bits >> (self.length - 1)) & 1:
-            raise MustEndWithN("a profile word must end with N")
-
-    @classmethod
-    def from_text(cls, text: str) -> "ProfileWord":
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "N":
-                bits |= 1 << i
-            elif ch != "E":
-                raise InvalidLetter(f"letter at index {i} is {ch!r}, expected 'E' or 'N'", index=i)
-        return cls(len(text), bits)
-
-    @property
-    def text(self) -> str:
-        return "".join("N" if (self.bits >> i) & 1 else "E" for i in range(self.length))
-
-    def __str__(self) -> str:
-        return self.text
-
-    def __len__(self) -> int:
-        return self.length
-
-
-def _coerce(w: ProfileWord | str) -> ProfileWord:
-    return w if isinstance(w, ProfileWord) else ProfileWord.from_text(w)
-
-
-def to_profile(p: Partition) -> ProfileWord:
-    """Boundary word of ``p``, read southwest to northeast.
+def to_profile(p: Partition) -> str:
+    """Boundary word of ``p`` as E/N text, read southwest to northeast.
 
     The word is E^{p_r} N E^{p_{r-1}-p_r} N ... E^{p_1-p_2} N: walking up
     from the bottom row, each N closes one part at the current width.
     """
-    return ProfileWord(*word_bits_from_parts(p.parts))
+    length, bits = word_bits_from_parts(p.parts)
+    return "".join("EN"[(bits >> i) & 1] for i in range(length))
 
 
 def word_bits_from_parts(parts: tuple[int, ...]) -> tuple[int, int]:
@@ -117,10 +51,10 @@ def word_bits_from_parts(parts: tuple[int, ...]) -> tuple[int, int]:
 def parts_from_word_bits(length: int, bits: int) -> tuple[int, ...]:
     """Decode packed word bits to a parts tuple (no validity checks).
 
-    Exposed for bulk enumeration, where constructing ProfileWord and
-    Partition wrappers per word would dominate the runtime.  Only the N
-    letters are visited: the k-th N (from 0) at letter i closes a part of
-    width i - k, the number of E's before it.
+    Exposed for bulk enumeration, where building text and a Partition per
+    word would dominate the runtime.  Only the N letters are visited: the
+    k-th N (from 0) at letter i closes a part of width i - k, the number of
+    E's before it.
     """
     bits &= (1 << length) - 1
     parts = []
@@ -134,11 +68,24 @@ def parts_from_word_bits(length: int, bits: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def from_profile(w: ProfileWord | str) -> Partition:
-    """The unique partition whose boundary word is ``w``; inverse of
-    :func:`to_profile`."""
-    w = _coerce(w)
-    return Partition(parts_from_word_bits(w.length, w.bits))
+def from_profile(text: str) -> Partition:
+    """The unique partition whose boundary word is the E/N ``text``; inverse
+    of :func:`to_profile`.  Raises ``ValueError`` at the first invalid
+    letter, then for an empty word, one that does not start with E, and one
+    that does not end with N, in that order."""
+    bits = 0
+    for i, ch in enumerate(text):
+        if ch == "N":
+            bits |= 1 << i
+        elif ch != "E":
+            raise ValueError(f"letter at index {i} is {ch!r}, expected 'E' or 'N'")
+    if not text:
+        raise ValueError("a profile word needs at least one letter")
+    if bits & 1:
+        raise ValueError("a profile word must start with E")
+    if not bits >> (len(text) - 1):
+        raise ValueError("a profile word must end with N")
+    return Partition(parts_from_word_bits(len(text), bits))
 
 
 def block_word_bits(initial_ns: int, trailing_ns: Iterable[int], d: int) -> tuple[int, int]:

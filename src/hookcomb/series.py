@@ -45,14 +45,6 @@ from typing import Callable, Iterable, Mapping
 from .partitions import ConstraintClass, _require_int
 
 
-class VariableMismatch(ValueError):
-    pass
-
-
-class NonUnitDenominator(ValueError):
-    pass
-
-
 def _min_bound(a: int | None, b: int | None) -> int | None:
     if a is None:
         return b
@@ -111,9 +103,9 @@ class MultiPoly:
         qbound: int | None = None,
     ):
         if "q" not in variables:
-            raise VariableMismatch("the variable tuple must contain 'q'")
+            raise ValueError("the variable tuple must contain 'q'")
         if len(set(variables)) != len(variables):
-            raise VariableMismatch("duplicate variable names")
+            raise ValueError("duplicate variable names")
         if qbound is not None:
             _require_int(qbound, "qbound")
         qi = variables.index("q")
@@ -123,7 +115,7 @@ class MultiPoly:
             if not isinstance(exps, tuple):
                 raise TypeError(f"an exponent vector must be a tuple, got {type(exps).__name__}")
             if len(exps) != len(variables):
-                raise VariableMismatch("exponent vector length does not match the variables")
+                raise ValueError("exponent vector length does not match the variables")
             for e in exps:
                 if type(e) is not int:
                     raise TypeError(f"an exponent must be an int, got {type(e).__name__}")
@@ -143,10 +135,6 @@ class MultiPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: tuple[str, ...], qbound: int | None = None) -> "MultiPoly":
-        return cls(variables, {}, qbound)
-
-    @classmethod
     def constant(cls, c: int, variables: tuple[str, ...], qbound: int | None = None) -> "MultiPoly":
         return cls(variables, {(0,) * len(variables): c}, qbound)
 
@@ -161,7 +149,7 @@ class MultiPoly:
         exponents = exponents or {}
         unknown = set(exponents) - set(variables)
         if unknown:
-            raise VariableMismatch(f"unknown variables {sorted(unknown)}")
+            raise ValueError(f"unknown variables {sorted(unknown)}")
         vec = tuple(exponents.get(v, 0) for v in variables)
         return cls(variables, {vec: coeff}, qbound)
 
@@ -174,7 +162,7 @@ class MultiPoly:
     def coefficient(self, exponents: Mapping[str, int]) -> int:
         unknown = set(exponents).difference(self.variables)
         if unknown:
-            raise VariableMismatch(f"unknown variables {sorted(unknown)}")
+            raise ValueError(f"unknown variables {sorted(unknown)}")
         vec = tuple(exponents.get(v, 0) for v in self.variables)
         return self._terms.get(vec, 0)
 
@@ -184,7 +172,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
         if self.variables != other.variables:
-            raise VariableMismatch(f"variables {self.variables} vs {other.variables}")
+            raise ValueError(f"variables {self.variables} vs {other.variables}")
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
@@ -231,23 +219,6 @@ class MultiPoly:
                 out[k] = get(k, 0) + ca * cb
         return _unchecked(self.variables, _unpacked(out, shifts, width), bound, qi)
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        _require_int(n, "an exponent", 0)
-        result = MultiPoly.constant(1, self.variables, self.qbound)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def scale(self, c: int) -> "MultiPoly":
-        _require_int(c, "a scale factor")
-        terms = {e: c * v for e, v in self._terms.items()} if c else {}
-        return _unchecked(self.variables, terms, self.qbound, self._qi)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -258,12 +229,9 @@ class MultiPoly:
 
     # -- reshaping ----------------------------------------------------------
 
-    def with_qbound(self, qbound: int | None) -> "MultiPoly":
-        return MultiPoly(self.variables, self._terms, qbound)
-
     def substitute(self, assignment: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves,
-        and a key that is no variable here raises :class:`VariableMismatch`.
+        and a key that is no variable here raises ``ValueError``.
 
         Each value is an int or a polynomial of at most one term c*m (a
         longer one raises ValueError), so a term with exponent e in the
@@ -275,21 +243,21 @@ class MultiPoly:
         for v in assignment.values():
             if isinstance(v, MultiPoly):
                 if v.variables != target:
-                    raise VariableMismatch("substitution images use differing variable tuples")
+                    raise ValueError("substitution images use differing variable tuples")
                 if len(v._terms) > 1:
                     raise ValueError(f"a substitution value must be a single term, got {v.text()}")
             elif type(v) is not int:
                 raise TypeError(f"a substitution value must be an int or a MultiPoly, got {type(v).__name__}")
         unknown = set(assignment).difference(self.variables)
         if unknown:
-            raise VariableMismatch(f"unknown variables {sorted(unknown)}")
+            raise ValueError(f"unknown variables {sorted(unknown)}")
         zero = (0,) * len(target)
         bound = self.qbound
         images: list[tuple[int, tuple[int, ...]]] = []  # each variable's image c*m as (c, m); () for m = 1
         for i, name in enumerate(self.variables):
             if name not in assignment:
                 if name not in target:
-                    raise VariableMismatch(f"variable {name!r} is unassigned and missing from the target")
+                    raise ValueError(f"variable {name!r} is unassigned and missing from the target")
                 images.append((1, tuple([int(v == name) for v in target])))
             elif type(val := assignment[name]) is int:
                 images.append((val, ()))
@@ -377,12 +345,6 @@ def _truncated(terms: dict[tuple[int, ...], int], qi: int, qbound: int | None) -
     return {e: c for e, c in terms.items() if c and e[qi] <= qbound}
 
 
-def poly_gens(*names: str, qbound: int | None = None) -> tuple[MultiPoly, ...]:
-    """Generator monomials for each name over the shared variable tuple."""
-    variables = tuple(names)
-    return tuple(MultiPoly.monomial(variables, 1, {n: 1}, qbound) for n in names)
-
-
 def _monomials(variables: tuple[str, ...], qbound: int | None = None) -> Callable[..., MultiPoly]:
     """m(coeff=1, **exponents): the monomial over ``variables``, bound ``qbound``."""
 
@@ -447,7 +409,7 @@ def pochhammer(base: MultiPoly, n: int, qbound: int | None = None) -> MultiPoly:
     bound = _min_bound(base.qbound, qbound)
     result = MultiPoly.constant(1, base.variables, bound)
     q = MultiPoly.monomial(base.variables, 1, {"q": 1}, bound)
-    shifted = base.with_qbound(bound)
+    shifted = MultiPoly(base.variables, base.terms, bound)
     one = MultiPoly.constant(1, base.variables, bound)
     for _ in range(n):
         result = result * (one - shifted)
@@ -470,9 +432,9 @@ class RationalGF:
     def __post_init__(self) -> None:
         den = self.denominator
         if self.numerator.variables != den.variables:
-            raise VariableMismatch("numerator and denominator must share variables")
+            raise ValueError("numerator and denominator must share variables")
         if {e: c for e, c in den._terms.items() if e[den._qi] == 0} != {(0,) * len(den.variables): 1}:
-            raise NonUnitDenominator("denominator must have q-degree-0 part exactly 1")
+            raise ValueError("denominator must have q-degree-0 part exactly 1")
 
 
 def expand(gf: RationalGF, qbound: int) -> MultiPoly:

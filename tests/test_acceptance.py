@@ -18,13 +18,13 @@ from hookcomb import (
     count_parity_split,
     d_distinct,
     enumerate_by_perimeter,
-    enumerate_by_size,
     excess_e,
     expand,
     fibonacci,
     franklin,
     g_class,
     gf_of_class,
+    make_partition,
     mod_one,
     verify_andrews_identity,
     verify_congruences,
@@ -32,7 +32,7 @@ from hookcomb import (
     verify_refined_identity,
     verify_rogers_fine,
 )
-from hookcomb.counting import binom, parts_by_perimeter
+from hookcomb.counting import binom, partitions_of_size, parts_by_perimeter
 from hookcomb.identities import gclass_by_block_grammar
 from hookcomb.partitions import parts_are_member
 from hookcomb.series import MultiPoly
@@ -233,7 +233,7 @@ def test_criterion_6_gf_coefficients():
 def test_criterion_7_franklin():
     pentagonal = [1, 2, 5, 7, 12, 15, 22, 26, 35, 40]
     fixed_sizes = []
-    for p in enumerate_by_size(40, distinct_only=True):
+    for p in (make_partition(parts) for n in range(1, 41) for parts in partitions_of_size(n, distinct=True)):
         image = franklin(p)
         if image is None:
             fixed_sizes.append(p.size)

@@ -18,6 +18,7 @@ from hookcomb import identities
 from hookcomb.identities import CHECKS, TheoremReport
 from hookcomb.counting import enumerate_by_perimeter
 from hookcomb.partitions import DISTINCT, UNRESTRICTED, d_distinct, g_class, make_partition
+from hookcomb.profile import from_profile
 
 
 def run(capsys, *argv):
@@ -51,6 +52,8 @@ def test_parse_class_spec_reads_back_every_class_name():
         (["count", "--perimeter", "5..2"], "'5..2'"),
         (["count", "--perimeter", "3", "--class", "prime"], "'prime'"),
         (["enumerate", "--perimeter", "3", "--class", "ddistinct:0"], "'ddistinct:0'"),
+        (["enumerate", "--perimeter", "3", "--class", "ddistinct"], "needs a parameter d, as in 'ddistinct:2'"),
+        (["count", "--perimeter", "3", "--class", "gclass"], "needs a parameter d, as in 'gclass:2'"),
         (["gf", "--eval", "z=1"], "'z=1'"),
         (["gf", "--qbound", "2", "--eval", "x=1,x=2"], "'x=2'"),
     ],
@@ -471,7 +474,45 @@ def test_word_encode(capsys):
     assert out == "ENENN\n"
 
 
-def test_word_bad_input(capsys):
-    code, _, err = run(capsys, "word", "NEN")
-    assert code == 2
-    assert err.startswith("error:")
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("", "a profile word needs at least one letter"),
+        ("N", "a profile word must start with E"),
+        ("E", "a profile word must end with N"),
+        ("NEN", "a profile word must start with E"),
+        ("ENE", "a profile word must end with N"),
+        ("EXN", "letter at index 1 is 'X', expected 'E' or 'N'"),
+        ("eN", "letter at index 0 is 'e', expected 'E' or 'N'"),
+    ],
+    ids=["empty", "N", "E", "NEN", "ENE", "EXN", "eN"],
+)
+def test_malformed_word_is_refused(capsys, word, message):
+    with pytest.raises(ValueError) as exc:
+        from_profile(word)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+    assert run(capsys, "word", word) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "parts, message, cli_message",
+    [
+        ([], "a partition must have at least one part", "invalid literal for int() with base 10: ''"),
+        ([0], "part at index 0 is 0, expected a positive integer", None),
+        ([1, 2], "part at index 1 (2) exceeds the previous part (1)", None),
+        # the CLI reads each part with int() first, so it never sees a bool
+        (
+            [2, True],
+            "part at index 1 is True, expected a positive integer",
+            "invalid literal for int() with base 10: 'True'",
+        ),
+    ],
+    ids=["empty", "zero", "increasing", "bool"],
+)
+def test_malformed_partition_is_refused(capsys, parts, message, cli_message):
+    with pytest.raises(ValueError) as exc:
+        make_partition(parts)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+    argv = ("word", "--encode", ",".join(map(str, parts)))
+    assert run(capsys, *argv) == (2, "", f"error: {cli_message or message}\n")
+

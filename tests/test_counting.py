@@ -5,7 +5,6 @@ import pytest
 
 from hookcomb import (
     DISTINCT,
-    InvalidKeyForClass,
     LargestPart,
     NumParts,
     ODD,
@@ -16,7 +15,6 @@ from hookcomb import (
     count_refined,
     d_distinct,
     enumerate_by_perimeter,
-    enumerate_by_size,
     excess_e,
     fibonacci,
     g_class,
@@ -236,17 +234,6 @@ def test_parity_split_at_perimeter_1e5_in_bounded_memory():
     assert peak < 2**20, peak
 
 
-def test_enumerate_by_size_streams():
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in enumerate_by_size(32))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == 43819  # p(1) + ... + p(32)
-    assert peak < 2**20, peak
-
-
 def test_fibonacci_addition_formula():
     for m in range(0, 21):
         for n in range(1, 21):
@@ -313,7 +300,7 @@ def test_count_refined_out_of_range_is_zero():
 
 
 def test_count_refined_rejects_bad_key():
-    with pytest.raises(InvalidKeyForClass):
+    with pytest.raises(ValueError, match="^unsupported refinement key 'largest'$"):
         count_refined(5, "largest", DISTINCT)
 
 
@@ -352,27 +339,21 @@ def test_excess_antiperiod():
 # size-graded enumeration
 
 
-def test_enumerate_by_size_examples():
-    assert [p.parts for p in enumerate_by_size(3, distinct_only=True)] == [(1,), (2,), (3,), (2, 1)]
-    of_five = [p for p in enumerate_by_size(5) if p.size == 5]
-    assert len(of_five) == 7
-    assert len(set(p.parts for p in enumerate_by_size(8))) == sum(1 for _ in enumerate_by_size(8))
+def test_partitions_of_size_examples():
+    assert partitions_of_size(0) == ((),)
+    assert [partitions_of_size(n, distinct=True) for n in (1, 2, 3)] == [((1,),), ((2,),), ((3,), (2, 1))]
+    assert partitions_of_size(5) == ((5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1))
+    assert len(set(partitions_of_size(8))) == len(partitions_of_size(8)) == 22
 
 
 def test_size_enumeration_respects_distinct_flag():
-    for p in enumerate_by_size(12, distinct_only=True):
-        assert parts_are_member(p.parts, DISTINCT)
+    for n in range(1, 13):
+        distinct = partitions_of_size(n, distinct=True)
+        assert all(parts_are_member(parts, DISTINCT) for parts in distinct)
+        assert distinct == tuple(parts for parts in partitions_of_size(n) if parts_are_member(parts, DISTINCT))
 
 
-@pytest.mark.parametrize(
-    "call, name",
-    [
-        (lambda v: partitions_of_size(v), "size"),
-        (lambda v: list(enumerate_by_size(v)), "max_size"),
-    ],
-    ids=["partitions_of_size", "enumerate_by_size"],
-)
 @pytest.mark.parametrize("value", [True, 2.0], ids=repr)
-def test_size_enumerations_refuse_bools_and_floats(call, name, value):
-    with pytest.raises(TypeError, match=f"^{name} must be an int"):
-        call(value)
+def test_partitions_of_size_refuses_bools_and_floats(value):
+    with pytest.raises(TypeError, match="^size must be an int"):
+        partitions_of_size(value)

@@ -6,12 +6,10 @@ import pytest
 
 from hookcomb import (
     CHECKS,
-    NotDistinct,
     TheoremReport,
     count_by_perimeter,
     count_parity_split,
     d_distinct,
-    enumerate_by_size,
     franklin,
     from_profile,
     make_partition,
@@ -90,12 +88,12 @@ def test_verify_franklin_reports_a_bad_image(monkeypatch, broken, reason):
 
 
 def test_franklin_rejects_repeats():
-    with pytest.raises(NotDistinct):
+    with pytest.raises(ValueError, match=r"^Partition\(2, 2\) does not have distinct parts$"):
         franklin(make_partition([2, 2]))
 
 
 def test_franklin_properties_exhaustive():
-    for p in enumerate_by_size(25, distinct_only=True):
+    for p in (make_partition(parts) for n in range(1, 26) for parts in partitions_of_size(n, distinct=True)):
         image = franklin(p)
         if image is None:
             continue
@@ -109,6 +107,12 @@ def test_franklin_properties_exhaustive():
 # verification checks at reduced depth
 
 
+def report_id(r):
+    # a list-valued parameter, such as the classes of gf-coefficients, would crowd out the rest
+    params = {k: v for k, v in r.params.items() if not isinstance(v, list)}
+    return f"{r.check_id}-{json.dumps(params, sort_keys=True)[:40]}"
+
+
 @pytest.mark.parametrize(
     "report",
     [
@@ -119,8 +123,8 @@ def test_franklin_properties_exhaustive():
         verify_d_chain(1, max_n=12),
         verify_d_chain(2, max_n=12),
         verify_d_chain(4, max_n=12),
-        verify_gf_coefficients(DISTINCT, qbound=9),
-        verify_gf_coefficients(g_class(3), qbound=9),
+        verify_gf_coefficients(qbound=9),
+        verify_gf_coefficients(qbound=1),
         verify_franklin(max_size=25),
         verify_andrews_identity(qbound=12),
         verify_refined_identity(qbound=12),
@@ -128,7 +132,7 @@ def test_franklin_properties_exhaustive():
         verify_congruences(max_n=36, enum_limit=12),
         verify_fibonacci(max_add=20, max_div=40),
     ],
-    ids=lambda r: f"{r.check_id}-{json.dumps(r.params, sort_keys=True)[:40]}",
+    ids=report_id,
 )
 def test_checks_pass(report):
     assert report.passed, report.counterexample
@@ -280,10 +284,13 @@ def test_gf_coefficients_catches_an_off_by_q_division(monkeypatch):
         return real(num, den, qbound) + series.MultiPoly.monomial(den.variables, 1, {"q": 1}, qbound)
 
     monkeypatch.setattr(series, "_divide", off_by_q)
-    report = verify_gf_coefficients(DISTINCT, qbound=6)
+    ce = next(identities._scan_gf_coefficients(DISTINCT, 6))
+    assert (ce["class"], ce["versus"]) == ("distinct", "enumeration")
+    assert ce["monomial"] == {"x": 0, "y": 0, "q": 1}
+    # the gate's form reports the first class, with the same monomial
+    report = verify_gf_coefficients(qbound=6)
     assert not report.passed
-    assert report.counterexample["versus"] == "enumeration"
-    assert report.counterexample["monomial"] == {"x": 0, "y": 0, "q": 1}
+    assert (report.counterexample["class"], report.counterexample["monomial"]) == ("any", {"x": 0, "y": 0, "q": 1})
 
 
 def test_d_chain_catches_a_block_word_outside_the_class(monkeypatch):
@@ -324,9 +331,7 @@ def test_gf_coefficients_catches_a_faulty_engine_enumeration(fault, monkeypatch)
         return listed[::-1] if n == 9 else listed
 
     monkeypatch.setattr(identities, "enumerate_by_perimeter", faulty)
-    report = verify_gf_coefficients(DISTINCT, qbound=9)
-    assert not report.passed
-    ce = report.counterexample
+    ce = next(identities._scan_gf_coefficients(DISTINCT, 9))
     assert (ce["class"], ce["n"], ce["versus"]) == ("distinct", 9, "engine enumeration")
     if fault == "drop-6321":
         # (5,4,3,2,1), the last distinct partition of perimeter 9, follows (6,3,2,1)
@@ -384,7 +389,7 @@ def test_rogers_fine_at_a_equal_b_is_geometric(qbound):
     # side must then be the same sum
     V = ("a", "b", "t", "q")
     b = MultiPoly.monomial(V, 1, {"b": 1})
-    want = MultiPoly.zero(V, qbound)
+    want = MultiPoly(V, {}, qbound)
     for n in range(qbound + 1):
         want = want + MultiPoly.monomial(V, 1, {"b": n, "t": n, "q": n}, qbound)
     for side in rogers_fine_sides(qbound):
@@ -397,7 +402,7 @@ def test_rogers_fine_at_a_equal_b_is_geometric(qbound):
 
 
 def _summand_sum(variables, qbound, summands):
-    total = MultiPoly.zero(variables, qbound)
+    total = MultiPoly(variables, {}, qbound)
     for num, den in summands:
         total = total + expand(RationalGF(num, den), qbound)
     return total
@@ -410,10 +415,11 @@ def _oracle_rogers_fine(qbound):
         return MultiPoly.monomial(V, coeff, exps, qbound)
 
     alpha, beta, tau, ratio = m(a=1, q=1), m(b=1, q=1), m(b=1, t=1, q=1), m(a=1, t=1, q=2)
-    lhs = ((pochhammer(alpha, n, qbound) * tau**n, pochhammer(beta, n, qbound)) for n in range(qbound + 1))
+    # tau^n = b^n t^n q^n and beta^n tau^n = b^(2n) t^n q^(2n)
+    lhs = ((pochhammer(alpha, n, qbound) * m(b=n, t=n, q=n), pochhammer(beta, n, qbound)) for n in range(qbound + 1))
     rhs = (
         (
-            pochhammer(alpha, n, qbound) * pochhammer(ratio, n, qbound) * beta**n * tau**n
+            pochhammer(alpha, n, qbound) * pochhammer(ratio, n, qbound) * m(b=2 * n, t=n, q=2 * n)
             * m(q=n * n - n) * (m() - alpha * tau * m(q=2 * n)),
             pochhammer(beta, n, qbound) * pochhammer(tau, n + 1, qbound),
         )
@@ -669,7 +675,7 @@ def test_run_checks_raises_what_the_serial_order_raises(cpus, overrides, error, 
         (verify_pentagonal_analogue, {"max_n": 0}),
         (verify_pentagonal_analogue, {"enum_limit": -1}),
         (verify_d_chain, {"d": 1, "max_n": 0}),
-        (verify_gf_coefficients, {"c": DISTINCT, "qbound": 0}),
+        (verify_gf_coefficients, {"qbound": 0}),
         (verify_franklin, {"max_size": 0}),
         (verify_andrews_identity, {"qbound": 0}),
         (verify_refined_identity, {"qbound": -1}),
@@ -718,13 +724,13 @@ def test_checks_refuse_bool_and_float_parameters_before_scanning(check, base, na
         check(**{**base, name: bad})
 
 
-def test_gf_all_rejects_an_empty_range_before_scanning(monkeypatch):
+def test_gf_coefficients_rejects_an_empty_range_before_scanning(monkeypatch):
     def no_work(c):
         raise AssertionError("scan work started")
 
     monkeypatch.setattr(identities, "gf_of_class", no_work)
     with pytest.raises(ValueError):
-        identities.verify_gf_all(qbound=0)
+        verify_gf_coefficients(qbound=0)
 
 
 def test_report_takes_the_first_counterexample_only():

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hookcomb import (
     DISTINCT,
     MultiPoly,
-    NonUnitDenominator,
     ODD,
     RationalGF,
     UNRESTRICTED,
-    VariableMismatch,
     count_by_perimeter,
     d_distinct,
     enumerate_by_perimeter,
@@ -21,7 +19,6 @@ from hookcomb import (
     gf_of_class,
     mod_one,
     pochhammer,
-    poly_gens,
     series_inverse,
 )
 from hookcomb.series import _packed, _shifts, _unpacked
@@ -31,6 +28,16 @@ V3 = ("x", "y", "q")
 
 def m3(coeff=1, x=0, y=0, q=0, qbound=None):
     return MultiPoly.monomial(V3, coeff, {"x": x, "y": y, "q": q}, qbound)
+
+
+def q_only(k=1):
+    """q^k over the variables (q,), no bound."""
+    return MultiPoly.monomial(("q",), 1, {"q": k})
+
+
+def bounded(p, qbound):
+    """``p`` with its terms past ``qbound`` dropped and that bound."""
+    return MultiPoly(p.variables, p.terms, qbound)
 
 
 # ---------------------------------------------------------------------------
@@ -64,28 +71,20 @@ def test_qbound_combines_as_min():
 
 def test_variable_mismatch():
     other = MultiPoly.monomial(("y", "q"), 1, {"y": 1})
-    with pytest.raises(VariableMismatch):
+    with pytest.raises(ValueError, match=r"^variables \('x', 'y', 'q'\) vs \('y', 'q'\)$"):
         m3(1) + other
-    with pytest.raises(VariableMismatch):
+    with pytest.raises(ValueError, match="^the variable tuple must contain 'q'$"):
         MultiPoly.monomial(("x", "y"), 1, {})  # no q variable
 
 
 def test_coefficient_rejects_names_that_are_not_variables():
-    x, q = poly_gens("x", "q")
-    p = MultiPoly.constant(5, ("x", "q")) + x * q
+    p = MultiPoly.constant(5, ("x", "q")) + MultiPoly.monomial(("x", "q"), 1, {"x": 1, "q": 1})
     assert p.coefficient({"x": 1, "q": 1}) == 1
     assert p.coefficient({}) == 5
-    with pytest.raises(VariableMismatch):
+    with pytest.raises(ValueError, match=r"^unknown variables \['z'\]$"):
         p.coefficient({"z": 3})
-    with pytest.raises(VariableMismatch):
+    with pytest.raises(ValueError, match=r"^unknown variables \['y'\]$"):
         p.coefficient({"x": 1, "q": 1, "y": 2})
-
-
-def test_pow_and_scale():
-    s = m3(1, 1, 0, 1) + m3(1, 0, 1, 1)
-    assert s**0 == m3(1)
-    assert s**3 == s * s * s
-    assert s.scale(-2) == -(s + s)
 
 
 @settings(max_examples=60)
@@ -130,17 +129,17 @@ def test_expand_distinct_by_hand():
 
 
 def test_expand_geometric():
-    (q,) = poly_gens("q")
+    q = q_only()
     one = MultiPoly.constant(1, ("q",))
     assert expand(RationalGF(one, one - q), 2) == one + q + q * q
 
 
 def test_expand_rejects_non_unit_denominator():
-    (q,) = poly_gens("q")
+    q = q_only()
     one = MultiPoly.constant(1, ("q",))
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError, match="^denominator must have q-degree-0 part exactly 1$"):
         RationalGF(one, q)  # constant term 0
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError, match="^denominator must have q-degree-0 part exactly 1$"):
         RationalGF(one, one + one)  # constant term 2
 
 
@@ -157,7 +156,7 @@ def test_multiply_back_at_every_qbound(c):
     gf = gf_of_class(c)
     for qbound in range(0, 41):
         series = expand(gf, qbound)
-        assert series * gf.denominator.with_qbound(qbound) == gf.numerator.with_qbound(qbound)
+        assert series * bounded(gf.denominator, qbound) == bounded(gf.numerator, qbound)
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +174,21 @@ def test_pochhammer_examples():
         + MultiPoly.monomial(("y", "q"), 1, {"y": 2, "q": 3}, 10)
     )
     assert got == want
-    neg = pochhammer(yq.scale(-1), 2, 10)
+    neg = pochhammer(-yq, 2, 10)
     assert neg == want.substitute({"y": MultiPoly.monomial(("y", "q"), -1, {"y": 1}, 10)})
 
 
 
 @pytest.mark.parametrize("n, error", [(True, TypeError), (False, TypeError), (2.0, TypeError), (-1, ValueError)])
-def test_pochhammer_and_power_refuse_bad_exponents(n, error):
+def test_pochhammer_refuses_bad_exponents(n, error):
     xq = m3(1, 1, 0, 1)
     with pytest.raises(error):
         pochhammer(xq, n, 5)
-    with pytest.raises(error):
-        xq**n
 
 def test_series_inverse_geometric():
-    (q,) = poly_gens("q")
     one = MultiPoly.constant(1, ("q",))
-    inv = series_inverse(one - q, 4)
-    assert inv == sum((q**k for k in range(1, 5)), one.with_qbound(4))
+    inv = series_inverse(one - q_only(), 4)
+    assert inv == MultiPoly(("q",), {(k,): 1 for k in range(5)}, 4)
 
 
 def test_series_inverse_of_pochhammer_frozen():
@@ -211,11 +207,11 @@ def test_inverse_multiplies_back_to_one(n):
 
 
 def test_series_inverse_needs_unit_constant():
-    (q,) = poly_gens("q")
-    with pytest.raises(NonUnitDenominator):
+    q = q_only()
+    with pytest.raises(ValueError, match="^denominator must have q-degree-0 part exactly 1$"):
         series_inverse(q, 4)
     # the one unit check is RationalGF's
-    with pytest.raises(NonUnitDenominator):
+    with pytest.raises(ValueError, match="^denominator must have q-degree-0 part exactly 1$"):
         series_inverse(MultiPoly.constant(2, ("q",)) + q, 4)
 
 
@@ -226,9 +222,9 @@ def test_series_inverse_keeps_the_smaller_bound():
     inv = series_inverse(p, 5)
     assert inv.qbound == 0
     assert inv == MultiPoly.constant(1, ("q",), 0)
-    assert series_inverse(p.with_qbound(5), 3).qbound == 3
+    assert series_inverse(bounded(p, 5), 3).qbound == 3
     with pytest.raises(ValueError):
-        series_inverse(p.with_qbound(None))
+        series_inverse(bounded(p, None))
 
 
 @pytest.mark.parametrize(
@@ -251,13 +247,10 @@ def test_rejects_non_integers(terms):
         MultiPoly(("x", "q"), terms)
 
 
-def test_scale_and_qbound_reject_non_integers():
-    p = MultiPoly(("x", "q"), {(1, 1): 1})
+def test_qbound_rejects_non_integers():
     for c in (0.5, 2.0, True, Fraction(2)):
-        with pytest.raises(TypeError):
-            p.scale(c)
-        with pytest.raises(TypeError):
-            p.with_qbound(c)
+        with pytest.raises(TypeError, match="^qbound must be an int"):
+            MultiPoly(("x", "q"), {(1, 1): 1}, c)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +284,10 @@ def test_substitute_integers(assignment, text):
 def test_substitute_into_other_ring():
     p = m3(1, 2, 1, 1)  # x^2 y q
     y = MultiPoly.monomial(("y", "q"), 1, {"y": 1})
-    got = p.substitute({"x": y, "y": y.scale(-1)})
+    got = p.substitute({"x": y, "y": -y})
     assert got == MultiPoly.monomial(("y", "q"), -1, {"y": 3, "q": 1})
     # the zero polynomial maps like the int 0
-    zero = MultiPoly.zero(("y", "q"))
+    zero = MultiPoly(("y", "q"), {})
     assert p.substitute({"x": zero, "y": y}) == zero
     assert (p + m3(5)).substitute({"x": zero, "y": y}) == MultiPoly.constant(5, ("y", "q"))
 
@@ -305,9 +298,9 @@ def test_substitute_into_other_ring():
         ({"x": m3(1) + m3(1, 0, 1)}, ValueError),
         ({"x": True}, TypeError),
         ({"x": 0.5}, TypeError),
-        ({"x": m3(1, 0, 1), "y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, VariableMismatch),
-        ({"y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, VariableMismatch),  # x is unassigned
-        ({"X": 1, "y": 1}, VariableMismatch),  # X is not a variable
+        ({"x": m3(1, 0, 1), "y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, ValueError),
+        ({"y": MultiPoly.monomial(("y", "q"), 1, {"y": 1})}, ValueError),  # x is unassigned
+        ({"X": 1, "y": 1}, ValueError),  # X is not a variable
     ],
 )
 def test_substitute_refuses_bad_values(assignment, error):
@@ -331,7 +324,6 @@ def test_substitute_multiplies_no_polynomials(monkeypatch):
         raise AssertionError("substitute multiplied polynomials")
 
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
-    monkeypatch.setattr(MultiPoly, "__pow__", refuse)
     assert series.substitute({"x": m3(1, 0, 1), "y": m3(-1, 0, 1), "q": 2}) == want
     assert series.substitute({"x": 2, "y": 3}).qbound == 20
 
@@ -402,9 +394,8 @@ def test_rule_closed_forms_are_the_papers(c, den):
 def test_gclass_collapses_to_gap_series(d):
     # at x = y = 1 the gclass form reduces to q / (1 - q - q^(d+1))
     got = expand(gf_of_class(g_class(d)), 30).substitute({"x": 1, "y": 1})
-    _, _, q = poly_gens(*V3)
     one = MultiPoly.constant(1, V3)
-    want = expand(RationalGF(q, one - q - q ** (d + 1)), 30)
+    want = expand(RationalGF(m3(q=1), one - m3(q=1) - m3(q=d + 1)), 30)
     assert got == want
     for n in range(1, 31):
         assert got.coefficient({"q": n}) == count_by_perimeter(n, g_class(d))
@@ -421,7 +412,7 @@ def test_distinct_counts_are_fibonacci_in_series():
 
 
 def test_text_zero_and_constants():
-    assert MultiPoly.zero(V3).text() == "0"
+    assert MultiPoly(V3, {}).text() == "0"
     assert m3(7).text() == "7"
     assert m3(-1, 1, 0, 1).text() == "-x*q"
 
@@ -554,7 +545,7 @@ def test_product_and_sum_match_schoolbook(data):
     a, b = _poly(data, variables), _poly(data, variables)
     bound = _min(a.qbound, b.qbound)
     product, total = a * b, a + b
-    for got in (product, total, a - b, -a, a.scale(data.draw(st.integers(-3, 3)))):
+    for got in (product, total, a - b, -a):
         _assert_invariants(got)
     assert product.qbound == total.qbound == bound
     assert dict(product.terms) == _truncate(_schoolbook(a.terms, b.terms), qi, bound)
