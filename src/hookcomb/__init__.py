@@ -49,7 +49,6 @@ from .identities import (
     TheoremReport,
     franklin,
     run_checks,
-    scan_congruence,
     verify_andrews_identity,
     verify_congruences,
     verify_d_chain,

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count
 from math import isqrt
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .counting import (
@@ -283,37 +285,33 @@ def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
     return _report("powers-of-two", {"max_n": max_n}, _scan_powers_of_two(max_n))
 
 
+# The refined equinumerations of distinct against odd parts at perimeter n:
+# (case, statistic on distinct parts, equal to k; statistic on odd parts and
+# its value at k; the count_refined key of k; the binomial count at (n, k)).
+_REFINEMENT_CASES = (
+    ("length k distinct vs largest part 2k-1 odd", len, itemgetter(0), lambda k: 2 * k - 1,
+     NumParts, lambda n, k: binom(n - k, k - 1)),
+    ("largest part k distinct vs largest+2*length = 2k+1 odd", itemgetter(0), lambda p: p[0] + 2 * len(p),
+     lambda k: 2 * k + 1, LargestPart, lambda n, k: binom(k - 1, n - k)),
+    ("rank k distinct vs length k+1 odd", lambda p: p[0] - len(p), len, lambda k: k + 1,
+     Rank, lambda n, k: binom((n + k - 1) // 2, k) if (n - 1 - k) % 2 == 0 else 0),
+)
+
+
 def _scan_refinements(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
         distinct = parts_by_perimeter(n, DISTINCT)
         odd = parts_by_perimeter(n, ODD)
+        # each statistic is tallied once per perimeter, then read at every k
+        tallies = [(Counter(map(f, distinct)), Counter(map(g, odd))) for _, f, g, *_ in _REFINEMENT_CASES]
         for k in range(0, n + 2):
-            cases = [
-                (
-                    "length k distinct vs largest part 2k-1 odd",
-                    sum(1 for p in distinct if len(p) == k),
-                    sum(1 for p in odd if p[0] == 2 * k - 1),
-                    binom(n - k, k - 1),
-                    count_refined(n, NumParts(k), DISTINCT),
-                ),
-                (
-                    "largest part k distinct vs largest+2*length = 2k+1 odd",
-                    sum(1 for p in distinct if p[0] == k),
-                    sum(1 for p in odd if p[0] + 2 * len(p) == 2 * k + 1),
-                    binom(k - 1, n - k),
-                    count_refined(n, LargestPart(k), DISTINCT),
-                ),
-                (
-                    "rank k distinct vs length k+1 odd",
-                    sum(1 for p in distinct if p[0] - len(p) == k),
-                    sum(1 for p in odd if len(p) == k + 1),
-                    binom((n + k - 1) // 2, k) if (n - 1 - k) % 2 == 0 else 0,
-                    count_refined(n, Rank(k), DISTINCT),
-                ),
-            ]
-            for label, lhs, rhs, closed, api in cases:
-                routes = {"enumeration distinct": lhs, "enumeration odd": rhs, "automaton distinct": api}
-                yield from _disagreement({"n": n, "k": k, "case": label}, "binomial", closed, routes)
+            for (label, _, _, odd_at, key, closed), (lhs, rhs) in zip(_REFINEMENT_CASES, tallies):
+                routes = {
+                    "enumeration distinct": lhs[k],
+                    "enumeration odd": rhs[odd_at(k)],
+                    "automaton distinct": count_refined(n, key(k), DISTINCT),
+                }
+                yield from _disagreement({"n": n, "k": k, "case": label}, "binomial", closed(n, k), routes)
 
 
 def verify_refinements(max_n: int = 14) -> TheoremReport:
@@ -688,9 +686,10 @@ _CONGRUENCE_FAMILIES = (
 
 
 def _congruence_arguments(step: int, offset: int, max_n: int) -> range:
-    """The values of step * n + offset over n >= 0 from the least positive
-    one up to ``max_n``: the arguments at which a congruence is tested."""
-    return range(offset if offset > 0 else (offset % step or step), max_n + 1, step)
+    """The values of step * n + offset (offset >= 0) over n >= 0 from the
+    least positive one up to ``max_n``: the arguments at which a congruence
+    is tested."""
+    return range(offset or step, max_n + 1, step)
 
 
 # the depth at which every family has been tested at least once
@@ -744,30 +743,6 @@ def verify_fibonacci(max_add: int = 30, max_div: int = 60) -> TheoremReport:
     _require_int(max_add, "max_add", 1)
     _require_int(max_div, "max_div", 1)
     return _report("fibonacci", {"max_add": max_add, "max_div": max_div}, _scan_fibonacci(max_add, max_div))
-
-
-def scan_congruence(
-    step: int, offset: int, modulus: int, residue: int, max_n: int = 60
-) -> TheoremReport:
-    """Generic scanner: does h_D(step * n + offset) == residue (mod modulus)
-    hold at every argument step * n + offset (n >= 0) from the least
-    positive one up to max_n?  ``residue`` must lie in 0..modulus - 1.
-    Plumbing for exploration; nothing beyond the seven stated congruences
-    is asserted anywhere."""
-    _require_int(step, "step", 1)
-    _require_int(offset, "offset")
-    _require_int(modulus, "modulus", 1)
-    _require_int(residue, "residue")
-    if not 0 <= residue < modulus:
-        raise ValueError(f"residue must lie in 0..{modulus - 1}, got {residue}")
-    _require_int(max_n, "max_n", _congruence_arguments(step, offset, 0).start)
-    params = {"step": step, "offset": offset, "modulus": modulus, "residue": residue, "max_n": max_n}
-    scan = (
-        {"argument": arg, "h_D": value, "modulus": modulus, "residue": residue}
-        for arg in _congruence_arguments(step, offset, max_n)
-        if (value := fibonacci(arg)) % modulus != residue
-    )
-    return _report("congruence-scan", params, scan)
 
 
 # ---------------------------------------------------------------------------

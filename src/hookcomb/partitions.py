@@ -7,7 +7,7 @@ top-left cell runs along the whole first row and first column).
 
 :class:`Partition` and :func:`make_partition` validate what they are given
 and refuse it with a plain ``ValueError``, which names the first offending
-index.  The library's own enumerator and :func:`conjugate` build parts
+index.  The enumerator, :func:`conjugate` and ``from_profile`` build parts
 that are valid by construction and wrap them with :func:`_unchecked`,
 which skips that check; it is private because its caller must guarantee
 validity.
@@ -62,9 +62,9 @@ class Partition:
     """A non-empty weakly decreasing tuple of positive integers.
 
     Construct through :func:`make_partition` for friendly coercion; direct
-    construction also validates.  The library's enumerator
-    ``enumerate_by_perimeter`` and :func:`conjugate` build parts that are
-    valid by construction and skip the check.  Parts
+    construction also validates.  ``enumerate_by_perimeter``,
+    :func:`conjugate` and ``from_profile`` build parts that are valid by
+    construction and skip the check.  Parts
     beyond about 10**6 are not rejected but are outside the supported
     envelope of the counting routines.
     """
@@ -269,8 +269,12 @@ class WordAutomaton:
     def __init__(self, start: int, on_e: tuple[int, ...], on_n: tuple[int, ...]):
         self.start, self.on_e, self.on_n, self.reach = start, on_e, on_n, ()
         self.after_e, self.after_n = (tuple(1 << t if t >= 0 else 0 for t in on) for on in (on_e, on_n))
-        self.before_e, self.before_n = (
-            tuple(sum(1 << s for s, t in enumerate(on) if t == u) for u in range(len(on))) for on in (on_e, on_n))
+        before = [0] * len(on_e), [0] * len(on_n)
+        for s, targets in enumerate(zip(on_e, on_n)):
+            for masks, t in zip(before, targets):
+                if t >= 0:
+                    masks[t] |= 1 << s
+        self.before_e, self.before_n = map(tuple, before)
 
 
 @lru_cache(maxsize=None)

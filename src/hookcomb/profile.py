@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .partitions import Partition
+from .partitions import Partition, _unchecked
 
 
 def to_profile(p: Partition) -> str:
@@ -85,7 +85,7 @@ def from_profile(text: str) -> Partition:
         raise ValueError("a profile word must start with E")
     if not bits >> (len(text) - 1):
         raise ValueError("a profile word must end with N")
-    return Partition(parts_from_word_bits(len(text), bits))
+    return _unchecked(parts_from_word_bits(len(text), bits))  # a valid word spells a partition
 
 
 def block_word_bits(initial_ns: int, trailing_ns: Iterable[int], d: int) -> tuple[int, int]:

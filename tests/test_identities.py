@@ -14,7 +14,6 @@ from hookcomb import (
     from_profile,
     make_partition,
     run_checks,
-    scan_congruence,
     verify_andrews_identity,
     verify_congruences,
     verify_d_chain,
@@ -29,7 +28,7 @@ from hookcomb import (
     verify_rogers_fine,
 )
 from hookcomb import identities
-from hookcomb.counting import partitions_of_size
+from hookcomb.counting import LargestPart, NumParts, Rank, count_refined, partitions_of_size
 from hookcomb.identities import (
     _franklin_parts,
     _series_andrews_franklin,
@@ -42,7 +41,7 @@ from hookcomb.identities import (
     regrade_limit,
     rogers_fine_sides,
 )
-from hookcomb.partitions import DISTINCT, g_class
+from hookcomb.partitions import DISTINCT, ODD, UNRESTRICTED, g_class
 from hookcomb.series import MultiPoly, RationalGF, expand, pochhammer
 
 
@@ -342,6 +341,70 @@ def test_gf_coefficients_catches_a_faulty_engine_enumeration(fault, monkeypatch)
         assert (ce["engine"][0], ce["enumeration"][0]) == ([5, 4, 3, 2, 1], [9])
 
 
+REFINEMENT_CASES = {
+    NumParts: "length k distinct vs largest part 2k-1 odd",
+    LargestPart: "largest part k distinct vs largest+2*length = 2k+1 odd",
+    Rank: "rank k distinct vs length k+1 odd",
+}
+
+
+def _count_refined_off_by_one_at(monkeypatch, faults):
+    """Make ``identities.count_refined`` count one too many at each
+    (n, key type, k) in ``faults``."""
+    real = identities.count_refined
+
+    def off_by_one(n, key, c):
+        return real(n, key, c) + ((n, type(key), key.value) in faults)
+
+    monkeypatch.setattr(identities, "count_refined", off_by_one)
+
+
+@pytest.mark.parametrize("key", list(REFINEMENT_CASES), ids=lambda key: key.__name__)
+def test_refinements_catch_a_wrong_refined_count(key, monkeypatch):
+    # a second fault later in the scan must not be the one reported
+    _count_refined_off_by_one_at(monkeypatch, {(6, key, 2), (9, key, 1)})
+    ce = verify_refinements(max_n=10).counterexample
+    binomial = count_refined(6, key(2), DISTINCT)
+    assert ce == {
+        "n": 6,
+        "k": 2,
+        "case": REFINEMENT_CASES[key],
+        "route": "automaton distinct",
+        "got": binomial + 1,
+        "binomial": binomial,
+    }
+
+
+def test_refinements_report_the_smallest_of_several_faults(monkeypatch):
+    # in scan order (n, k, case): at n = 5 the rank case at k = 1 comes
+    # before the length case at k = 3; the largest-part fault is at n = 7
+    _count_refined_off_by_one_at(monkeypatch, {(5, NumParts, 3), (7, LargestPart, 0), (5, Rank, 1)})
+    ce = verify_refinements(max_n=8).counterexample
+    assert (ce["n"], ce["k"], ce["case"], ce["route"]) == (5, 1, REFINEMENT_CASES[Rank], "automaton distinct")
+
+
+@pytest.mark.parametrize(
+    "dropped, k, key",
+    [
+        # length 3 is rank k = 2, largest 5 is k = 3, 5 + 2*3 = 2k+1 is k = 5
+        ((5, 1, 1), 2, Rank),
+        # largest 1 is k = 1, length 7 is rank k = 6, 1 + 2*7 = 2k+1 is k = 7
+        ((1,) * 7, 1, NumParts),
+    ],
+    ids=["5,1,1", "1^7"],
+)
+def test_refinements_catch_a_missing_odd_partition(dropped, k, key, monkeypatch):
+    real = identities.parts_by_perimeter
+
+    def dropping(n, c=UNRESTRICTED):
+        return tuple(parts for parts in real(n, c) if not (c == ODD and parts == dropped))
+
+    monkeypatch.setattr(identities, "parts_by_perimeter", dropping)
+    ce = verify_refinements(max_n=9).counterexample
+    assert (ce["n"], ce["k"], ce["case"], ce["route"]) == (7, k, REFINEMENT_CASES[key], "enumeration odd")
+    assert ce["got"] == ce["binomial"] - 1
+
+
 # ---------------------------------------------------------------------------
 # series coefficients spot checks
 
@@ -567,23 +630,6 @@ def test_parity_split_routes_catch_a_wrong_split(check, monkeypatch):
     assert "binomial_sums" in json.dumps(report.counterexample)
 
 
-def test_scan_congruence_true_and_false():
-    ok = scan_congruence(step=3, offset=0, modulus=2, residue=0, max_n=30)
-    assert ok.passed
-    bad = scan_congruence(step=1, offset=0, modulus=2, residue=0, max_n=30)
-    assert not bad.passed
-    # minimal counterexample: the count at perimeter 1 is 1, which is odd
-    assert bad.counterexample["argument"] == 1
-    assert bad.counterexample["h_D"] == 1
-
-
-def test_scan_congruence_starts_at_the_least_positive_argument():
-    # 3n - 1 at n = 1, 2, 3, ... is 2, 5, 8, ...: h_D(2) = F(2) = 1 is odd
-    report = scan_congruence(step=3, offset=-1, modulus=2, residue=0, max_n=20)
-    assert not report.passed
-    assert report.counterexample["argument"] == 2
-
-
 def test_run_checks_registry():
     reports = run_checks("fibonacci", max_add=6, max_div=12)
     assert len(reports) == 1 and reports[0].passed
@@ -685,11 +731,6 @@ def test_run_checks_raises_what_the_serial_order_raises(cpus, overrides, error, 
         (verify_congruences, {"enum_limit": -1}),
         (verify_fibonacci, {"max_add": 0}),
         (verify_fibonacci, {"max_div": 0}),
-        (scan_congruence, {"step": 0, "offset": 0, "modulus": 2, "residue": 0}),
-        (scan_congruence, {"step": 3, "offset": 0, "modulus": 2, "residue": 0, "max_n": 0}),
-        (scan_congruence, {"step": 6, "offset": 9, "modulus": 2, "residue": 0, "max_n": 8}),
-        (scan_congruence, {"step": 3, "offset": 0, "modulus": 0, "residue": 0}),
-        (scan_congruence, {"step": 5, "offset": 0, "modulus": 5, "residue": -5}),  # residue outside 0..4
     ],
     ids=lambda v: getattr(v, "__name__", None) or ",".join(f"{k}={x}" for k, x in v.items()),
 )
@@ -698,14 +739,11 @@ def test_checks_reject_empty_ranges(check, kwargs):
         check(**kwargs)
 
 
-# every parameter of every registered check (d-chain with its d) and of
-# scan_congruence is an integer: (check, the other arguments it needs, name)
+# every parameter of every registered check (d-chain with its d) is an
+# integer: (check, the other arguments it needs, name)
 INTEGER_PARAMETERS = [
     (check, base, name)
-    for check, base in [
-        *((CHECKS[cid], {"d": 1} if cid == "d-chain" else {}) for cid in sorted(CHECKS)),
-        (scan_congruence, {"step": 3, "offset": 0, "modulus": 2, "residue": 0}),
-    ]
+    for check, base in ((CHECKS[cid], {"d": 1} if cid == "d-chain" else {}) for cid in sorted(CHECKS))
     for name in inspect.signature(check).parameters
 ]
 

@@ -378,6 +378,17 @@ def test_every_automaton_is_minimal(c):
     assert moore_classes(a) == want + 1  # no two states, the sink included, merge
 
 
+@pytest.mark.parametrize("c", [*_all_classes(), d_distinct(40), g_class(40)], ids=str)
+def test_automaton_tables_match_their_definitions(c):
+    # after_*[s] is the state a letter later as a bitmask, before_*[u] the
+    # states that a letter takes to u
+    a = c.automaton
+    states = range(len(a.on_e))
+    for on, after, before in ((a.on_e, a.after_e, a.before_e), (a.on_n, a.after_n, a.before_n)):
+        assert after == tuple(0 if on[s] < 0 else 1 << on[s] for s in states)
+        assert before == tuple(sum(1 << s for s in states if on[s] == u) for u in states)
+
+
 def test_member_test_is_bound_lazily_and_pickles():
     import pickle
 
