@@ -51,7 +51,7 @@ def parse_class_spec(text: str) -> ConstraintClass:
     the class itself rejects unknown names and bad parameters."""
     name, sep, arg = text.partition(":")
     try:
-        if sep and not arg.isdigit():
+        if sep and not arg.isdecimal():
             raise ValueError(f"the parameter must be a positive integer, got {arg!r}")
         return ConstraintClass(name, int(arg)) if sep else ConstraintClass(name)
     except (TypeError, ValueError) as exc:
@@ -63,7 +63,7 @@ def parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         hi = lo
-    if not lo.isdigit() or not hi.isdigit() or int(lo) < 1 or int(hi) < int(lo):
+    if not lo.isdecimal() or not hi.isdecimal() or int(lo) < 1 or int(hi) < int(lo):
         raise BadArgument(f"bad perimeter range {text!r}")
     return int(lo), int(hi)
 

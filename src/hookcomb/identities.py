@@ -17,17 +17,15 @@ over an empty range would compare nothing and still report a pass.
 Every brute-force route lists the partitions of a perimeter through one
 enumerator, :func:`hookcomb.counting.parts_by_perimeter`, which walks them
 and keeps the members of a class; ``powers-of-two`` certifies that walk
-on all 2^(n-1) partitions against the boundary-word codec, and
-``gf-coefficients`` compares the engine's ``enumerate_by_perimeter`` with
-it.  The library does not check itself: what it relies on is proven here.
-:func:`run_checks` runs several checks at once in up to one worker
-process per usable CPU; a report's ``elapsed_ms`` is its check's own time
-inside its worker.
+on all 2^(n-1) partitions by their order, and ``gf-coefficients``
+compares the engine's ``enumerate_by_perimeter`` with it.  The library
+does not check itself: what it relies on is proven here.  :func:`run_checks`
+runs the checks in turn in this process; a report's ``elapsed_ms`` is
+its check's own time.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -61,7 +59,7 @@ from .partitions import (
     g_class,
     mod_one,
 )
-from .profile import block_word_bits, parts_from_word_bits, word_bits_from_parts
+from .profile import block_word_bits, parts_from_word_bits
 from .series import MultiPoly, RationalGF, _monomials, expand, gf_of_class
 
 
@@ -71,7 +69,8 @@ class TheoremReport:
 
     ``status`` is "fail" when there is a counterexample (inputs plus the
     conflicting values) and "pass" when there is none.  Serialized reports
-    are stable across runs apart from ``elapsed_ms``.
+    are stable across runs apart from ``elapsed_ms``, the check's own time:
+    checks run in turn in this process, so none shares the CPU with another.
     """
 
     check_id: str
@@ -246,41 +245,40 @@ def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremRepor
     return _report("euler-analogue", params, _scan_euler_analogue(max_n, enum_limit))
 
 
-def _codec_mismatches(table: tuple[tuple[int, ...], ...], n: int) -> Iterator[dict]:
-    """Codec route for the perimeter-``n`` table: each entry must encode to
-    a boundary word of length n + 1 (first letter E) that decodes back to
-    it, and no two entries may share a word.  With 2^(n-1) entries that
-    makes the table exactly the partitions of perimeter n.  Yields each
-    offending entry.
+def _order_mismatches(table: tuple[tuple[int, ...], ...], n: int) -> Iterator[dict]:
+    """Order route for the perimeter-``n`` table: each entry must be a
+    partition of perimeter n (parts at least 1 and weakly decreasing, first
+    part + length - 1 = n) and lie strictly below the entry before it as a
+    tuple.  Yields each offending entry.
 
-    The round trip rules out tuples that are not partitions: (5, 2, 5)
-    encodes to the word of (5, 4, 3).  One flag per word, so the check
-    holds no second copy of the table."""
-    seen = bytearray(1 << (n - 1))
-    top = 1 << (n - 1)  # the terminal N, once the leading E is shifted out
+    Strictly decreasing entries are pairwise distinct, so with 2^(n-1) of
+    them, which the count routes check, the table is exactly the partitions
+    of perimeter n: the boundary-word bijection makes 2^(n-1) all there
+    are.  A codec round trip of each entry proves no more, as it too runs
+    the bijection on the table's own entries and rests on it for the rest."""
+    previous = (n + 1,)  # above every partition of perimeter n
     for parts in table:
-        length, bits = word_bits_from_parts(parts)
-        if length != n + 1 or bits & 1 or parts_from_word_bits(length, bits) != parts:
+        if not parts or parts[-1] < 1 or list(parts) != sorted(parts, reverse=True) or parts[0] + len(parts) - 1 != n:
             yield {"n": n, "partition": list(parts), "reason": "not a partition of this perimeter"}
-        elif seen[index := (bits >> 1) ^ top]:  # the n - 1 free letters
-            yield {"n": n, "partition": list(parts), "reason": "boundary word repeated"}
-        else:
-            seen[index] = 1
+        elif parts >= previous:
+            yield {"n": n, "partition": list(parts), "reason": "not below the entry before it"}
+        previous = parts
 
 
 def _scan_powers_of_two(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
         table = parts_by_perimeter(n)
-        yield from _codec_mismatches(table, n)
+        yield from _order_mismatches(table, n)
         routes = {"enumeration any": len(table), "automaton any": count_by_perimeter(n, UNRESTRICTED)}
+        del table  # or the walk for n + 1 would run while this table is held
         yield from _disagreement({"n": n}, "closed_form", 1 << (n - 1), routes)
 
 
 def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
     """There are 2^(n-1) partitions with perimeter n: the brute-force walk
     that every other brute-force route runs lists that many, each a
-    distinct boundary word by the codec route, and the automaton count
-    agrees."""
+    partition of perimeter n below the one before it, and the automaton
+    count agrees."""
     _require_int(max_n, "max_n", 1)
     return _report("powers-of-two", {"max_n": max_n}, _scan_powers_of_two(max_n))
 
@@ -764,27 +762,6 @@ CHECKS: dict[str, Callable[..., TheoremReport]] = {
     "fibonacci": verify_fibonacci,
 }
 
-# The slowest reports of ``verify all`` at their default depths; a pool
-# starts these before the rest, so that no long job starts last.  Measured
-# on 2 CPUs (five runs of ``verify all --format json``): powers-of-two takes
-# 280-320 ms, mostly the codec round trip of its 65,535 partitions; d-chain
-# at d = 1 95-215 ms, half of it walking the partitions of each perimeter
-# and most of the rest decoding block-grammar words (d = 2 25-35 ms, d >= 3
-# under 15 ms); franklin 55-100 ms; every other report 55 ms or less, the
-# longest of them gf-coefficients.  d-chain still goes first, as its five
-# jobs reach both workers at once: starting powers-of-two first read no
-# faster over ten alternating gate runs (median wall 0.552 s against
-# 0.546 s).
-_LONGEST_FIRST = ("d-chain", "powers-of-two", "franklin")
-
-
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
 
 def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     """Run one named check, or all of them; reports sorted by check id
@@ -792,14 +769,9 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     are ignored; any other that no selected check takes raises ValueError,
     and ``all`` passes each override only to the checks that take it.
 
-    Each check, and d-chain once per gap parameter, is one job.  With more
-    than one job and more than one usable CPU, the jobs run in a pool of
-    worker processes, one per CPU and no more than there are jobs, slowest
-    first; otherwise they run one after another in this process.  Results
-    are read back in report order, so the exception a caller sees is the
-    one that running the jobs in turn would raise; the jobs not yet started
-    are then cancelled.  ``elapsed_ms`` is each check's own time in its
-    worker, so the reports' sum can exceed the wall time.
+    Each check, and d-chain once per gap parameter, runs in turn in this
+    process, in report order, so the exception a caller sees is the first
+    one in that order.  ``elapsed_ms`` is each check's own time.
     """
     import inspect
 
@@ -822,25 +794,4 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
             jobs.extend((cid, {"d": d, **kwargs}) for d in ds)
         else:
             jobs.append((cid, kwargs))
-    workers = min(len(jobs), _usable_cpus())
-    if workers > 1:
-        # imported here, not at the top: it costs every import of the
-        # package about 20 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        def slowest_first(i: int) -> tuple[int, int]:
-            cid, kwargs = jobs[i]
-            rank = _LONGEST_FIRST.index(cid) if cid in _LONGEST_FIRST else len(_LONGEST_FIRST)
-            return rank, kwargs.get("d", 0)
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [None] * len(jobs)
-            for i in sorted(range(len(jobs)), key=slowest_first):
-                cid, kwargs = jobs[i]
-                futures[i] = pool.submit(CHECKS[cid], **kwargs)
-            try:
-                return [f.result() for f in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
     return [CHECKS[cid](**kwargs) for cid, kwargs in jobs]

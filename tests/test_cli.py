@@ -66,6 +66,25 @@ def test_bad_arguments_are_named_on_stderr(capsys, argv, named):
     assert named in err and "invalid" not in err, err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["count", "--perimeter", "3", "--class", "ddistinct:²"],
+            "argument --class: bad class spec 'ddistinct:²': the parameter must be a positive integer, got '²'",
+        ),
+        (["count", "--perimeter", "²"], "argument --perimeter: bad perimeter range '²'"),
+    ],
+    ids=["class-parameter", "perimeter"],
+)
+def test_a_superscript_digit_is_not_a_number(capsys, argv, message):
+    # str.isdigit accepts a superscript two that int() refuses
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"hookcomb count: error: {message}"
+
+
 def test_parse_range():
     assert parse_range("7") == (7, 7)
     assert parse_range("1..10") == (1, 10)
@@ -375,9 +394,7 @@ def test_verify_named_check_refuses_a_flag_it_does_not_take(capsys, argv, flag):
     assert (code, out, err) == (2, "", f"error: {argv[1]} does not take {flag}\n")
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_verify_all_reports_the_first_error_in_report_order(cpus, capsys, monkeypatch):
-    monkeypatch.setattr(identities, "_usable_cpus", lambda: cpus)
+def test_verify_all_reports_the_first_error_in_report_order(capsys):
     code, out, err = run(capsys, "verify", "all", "--max-n", "0")
     assert (code, out, err) == (2, "", "error: max_n must be at least 6, got 0\n")
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import inspect
 import json
 
@@ -246,8 +245,18 @@ def test_block_grammar_matches_text_route(d):
         assert gclass_by_block_grammar(n, d) == expected, (n, d)
 
 
-@pytest.mark.parametrize("damage", ["duplicate", "missing", "not a partition"])
-def test_powers_of_two_catches_a_damaged_table(damage, monkeypatch):
+@pytest.mark.parametrize(
+    "damage, caught",
+    [
+        ("duplicate", {"partition": [5, 4, 2], "reason": "not below the entry before it"}),
+        ("missing", {"route": "enumeration any", "got": 63}),
+        ("not a partition", {"partition": [5, 2, 5], "reason": "not a partition of this perimeter"}),
+        ("wrong perimeter", {"partition": [5, 4, 3, 1], "reason": "not a partition of this perimeter"}),
+        ("out of order", {"partition": [5, 4, 3], "reason": "not below the entry before it"}),
+    ],
+    ids=["duplicate", "missing", "not a partition", "wrong perimeter", "out of order"],
+)
+def test_powers_of_two_catches_a_damaged_table(damage, caught, monkeypatch):
     from hookcomb import identities
     from hookcomb.counting import parts_by_perimeter
 
@@ -259,14 +268,19 @@ def test_powers_of_two_catches_a_damaged_table(damage, monkeypatch):
                 table[i] = table[i + 1]
             elif damage == "missing":
                 del table[i]
-            else:
+            elif damage == "not a partition":
                 table[i] = (5, 2, 5)  # encodes to the word of (5, 4, 3)
+            elif damage == "wrong perimeter":
+                table[i] = (5, 4, 3, 1)  # perimeter 8, still between its neighbours
+            else:
+                table[i], table[i + 1] = table[i + 1], table[i]
         return tuple(table)
 
     monkeypatch.setattr(identities, "parts_by_perimeter", damaged)
     report = verify_powers_of_two(max_n=9)
     assert not report.passed
-    assert report.counterexample["n"] == 7
+    ce = report.counterexample
+    assert {k: ce[k] for k in ("n", *caught)} == {"n": 7, **caught}
 
 
 # ---------------------------------------------------------------------------
@@ -650,46 +664,26 @@ def test_run_checks_d_chain_expands():
     assert [r.params["d"] for r in reports] == [1, 2, 3, 4, 5]
 
 
-SMALL = {"max_n": 8, "qbound": 6, "max_size": 12, "enum_limit": 8}
+def test_run_checks_runs_each_check_in_turn_in_this_process(monkeypatch):
+    calls = []
 
+    def recording(cid):
+        def check(**kwargs):
+            calls.append((cid, kwargs))
+            return TheoremReport(cid, kwargs)
 
-def _without_elapsed(reports):
-    return [{k: v for k, v in r.as_dict().items() if k != "elapsed_ms"} for r in reports]
+        return check
 
-
-class _NoExecutor:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("built a process pool")
-
-
-def test_pool_changes_no_report(monkeypatch):
-    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)
-    pooled = run_checks("all", **SMALL)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoExecutor)
-    monkeypatch.setattr(identities, "_usable_cpus", lambda: 1)
-    serial = run_checks("all", **SMALL)
-    assert len(serial) == 16
-    assert _without_elapsed(pooled) == _without_elapsed(serial)
-
-
-@pytest.mark.parametrize(
-    "check_id, kwargs", [("fibonacci", {}), ("d-chain", {"d": 3})], ids=["fibonacci", "d-chain-d3"]
-)
-def test_single_job_builds_no_pool(check_id, kwargs, monkeypatch):
-    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoExecutor)
-    (report,) = run_checks(check_id, **kwargs)
-    assert report.passed
-
-
-def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(identities.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert identities._usable_cpus() == 1
-    monkeypatch.delattr(identities.os, "sched_getaffinity")
-    monkeypatch.setattr(identities.os, "cpu_count", lambda: None)
-    assert identities._usable_cpus() == 1
-    monkeypatch.setattr(identities.os, "cpu_count", lambda: 3)
-    assert identities._usable_cpus() == 3
+    for cid in CHECKS:
+        monkeypatch.setitem(CHECKS, cid, recording(cid))
+    reports = run_checks("all")
+    expected = [
+        (cid, kwargs)
+        for cid in sorted(CHECKS)
+        for kwargs in ([{"d": d} for d in (1, 2, 3, 4, 5)] if cid == "d-chain" else [{}])
+    ]
+    assert calls == expected
+    assert [(r.check_id, r.params) for r in reports] == expected
 
 
 @pytest.mark.parametrize(
@@ -703,9 +697,7 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     ],
     ids=["max-n-0", "d-0", "max-nn-misspelt"],
 )
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_run_checks_raises_what_the_serial_order_raises(cpus, overrides, error, message, monkeypatch):
-    monkeypatch.setattr(identities, "_usable_cpus", lambda: cpus)
+def test_run_checks_raises_what_the_serial_order_raises(overrides, error, message):
     with pytest.raises(ValueError) as info:
         run_checks("all", **overrides)
     assert type(info.value) is error and str(info.value) == message
