@@ -253,8 +253,10 @@ def test_block_grammar_matches_text_route(d):
         ("not a partition", {"partition": [5, 2, 5], "reason": "not a partition of this perimeter"}),
         ("wrong perimeter", {"partition": [5, 4, 3, 1], "reason": "not a partition of this perimeter"}),
         ("out of order", {"partition": [5, 4, 3], "reason": "not below the entry before it"}),
+        ("zero part", {"partition": [5, 4, 0], "reason": "not a partition of this perimeter"}),
+        ("empty", {"partition": [], "reason": "not a partition of this perimeter"}),
     ],
-    ids=["duplicate", "missing", "not a partition", "wrong perimeter", "out of order"],
+    ids=["duplicate", "missing", "not a partition", "wrong perimeter", "out of order", "zero part", "empty"],
 )
 def test_powers_of_two_catches_a_damaged_table(damage, caught, monkeypatch):
     from hookcomb import identities
@@ -272,6 +274,10 @@ def test_powers_of_two_catches_a_damaged_table(damage, caught, monkeypatch):
                 table[i] = (5, 2, 5)  # encodes to the word of (5, 4, 3)
             elif damage == "wrong perimeter":
                 table[i] = (5, 4, 3, 1)  # perimeter 8, still between its neighbours
+            elif damage == "zero part":
+                table[i] = (5, 4, 0)  # first part + length - 1 is still 7
+            elif damage == "empty":
+                table[i] = ()
             else:
                 table[i], table[i + 1] = table[i + 1], table[i]
         return tuple(table)
@@ -662,6 +668,15 @@ def test_run_checks_registry():
 def test_run_checks_d_chain_expands():
     reports = run_checks("d-chain", max_n=8)
     assert [r.params["d"] for r in reports] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "check_id, kwargs", [("fibonacci", {}), ("d-chain", {"d": 3})], ids=["fibonacci", "d-chain-d3"]
+)
+def test_a_single_check_runs_alone(check_id, kwargs):
+    (report,) = run_checks(check_id, **kwargs)
+    assert report.passed and report.check_id == check_id
+    assert kwargs.items() <= report.params.items()
 
 
 def test_run_checks_runs_each_check_in_turn_in_this_process(monkeypatch):
