@@ -35,7 +35,7 @@ from .partitions import (
 )
 from .profile import from_profile, to_profile
 from .series import expand, gf_of_class
-from .identities import CHECKS, run_checks
+from .identities import CHECKS, _REFINEMENT_CASES, run_checks
 
 DEFAULT_QBOUND = 15
 ENUMERATE_OUTPUT_LIMIT = 1 << 20  # all partitions of perimeter 21; enumerate refuses more
@@ -213,23 +213,19 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _table_rows(table_id: int) -> tuple[list[str], list[dict]]:
-    """The four worked tables: matched columns of equinumerous families."""
-    if table_id == 1:
-        left = [p for p in enumerate_by_perimeter(9, DISTINCT) if p.length == 4]
-        right = [p for p in enumerate_by_perimeter(9, ODD) if p.parts[0] == 7]
-        header = ["distinct (perimeter 9, 4 parts)", "odd (perimeter 9, largest 7)"]
-        groups = [(9, [left, right])]
-    elif table_id == 2:
-        left = [p for p in enumerate_by_perimeter(8, DISTINCT) if p.parts[0] == 6]
-        right = [p for p in enumerate_by_perimeter(8, ODD) if p.parts[0] + 2 * p.length == 13]
-        header = ["distinct (perimeter 8, largest 6)", "odd (perimeter 8, largest+2*parts = 13)"]
-        groups = [(8, [left, right])]
-    elif table_id == 3:
-        left = [p for p in enumerate_by_perimeter(7, DISTINCT) if p.parts[0] - p.length == 2]
-        right = [p for p in enumerate_by_perimeter(7, ODD) if p.length == 3]
-        header = ["distinct (perimeter 7, rank 2)", "odd (perimeter 7, 3 parts)"]
-        groups = [(7, [left, right])]
+def _table_rows(table_id: int) -> tuple[list[str], list[tuple[int, tuple[Partition, ...]]]]:
+    """The four worked tables: the header, and rows (perimeter, one
+    partition of each column) matching equinumerous families."""
+    if table_id <= 3:  # the (perimeter, k) of case table_id - 1 of _REFINEMENT_CASES
+        n, k, header = (
+            (9, 4, ["distinct (perimeter 9, 4 parts)", "odd (perimeter 9, largest 7)"]),
+            (8, 6, ["distinct (perimeter 8, largest 6)", "odd (perimeter 8, largest+2*parts = 13)"]),
+            (7, 2, ["distinct (perimeter 7, rank 2)", "odd (perimeter 7, 3 parts)"]),
+        )[table_id - 1]
+        _, distinct_stat, odd_stat, odd_at, *_ = _REFINEMENT_CASES[table_id - 1]
+        left = [p for p in enumerate_by_perimeter(n, DISTINCT) if distinct_stat(p.parts) == k]
+        right = [p for p in enumerate_by_perimeter(n, ODD) if odd_stat(p.parts) == odd_at(k)]
+        groups = [(n, [left, right])]
     else:  # table 4; argparse refuses any other id
         classes = (d_distinct(2), mod_one(2), g_class(2))
         header = [str(c) for c in classes]
@@ -240,30 +236,18 @@ def _table_rows(table_id: int) -> tuple[list[str], list[dict]]:
             col2 = list(enumerate_by_perimeter(n, classes[1]))[::-1]
             col3 = list(enumerate_by_perimeter(n, classes[2]))[::-1]
             groups.append((n, [col1, col2, col3]))
-    rows = []
-    for n, cols in groups:
-        for tup in zip(*cols):
-            rows.append({"perimeter": n, "columns": list(tup)})
-    return header, rows
+    return header, [(n, row) for n, cols in groups for row in zip(*cols)]
 
 
 def _cmd_table(args) -> int:
     header, rows = _table_rows(args.id)
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"perimeter": r["perimeter"], "columns": [list(p.parts) for p in r["columns"]]}
-                    for r in rows
-                ]
-            )
-        )
+        print(json.dumps([{"perimeter": n, "columns": [list(p.parts) for p in row]} for n, row in rows]))
     elif args.format == "csv":
-        out_rows = [[r["perimeter"], *[partition_text(p) for p in r["columns"]]] for r in rows]
-        print(_csv_out(["perimeter", *header], out_rows), end="")
+        print(_csv_out(["perimeter", *header], [[n, *map(partition_text, row)] for n, row in rows]), end="")
     else:
-        for r in rows:
-            print(" | ".join(partition_text(p) for p in r["columns"]))
+        for _, row in rows:
+            print(" | ".join(map(partition_text, row)))
     return 0
 
 

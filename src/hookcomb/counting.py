@@ -4,9 +4,9 @@ and the partitions of a size as one list.
 The engine knows a class only through its word automaton with s states
 (:class:`hookcomb.partitions.WordAutomaton`): a count is the walk's n-th
 term for n <= 2s and past that takes O(L^2 log n) products, squaring x^(n-1)
-modulo the class's recurrence of order L <= s; refined counts take one walk
-of n - 1 steps, and enumeration a backward walk whose work follows the
-output.
+modulo the class's recurrence of order L <= s; one walk of n - 1 steps
+gives a perimeter's counts by largest part, which refined counts read, and
+enumeration is a backward walk whose work follows the output.
 :func:`parts_by_perimeter` is the brute-force route instead: it walks the
 partitions of perimeter n and keeps those the class's first-break oracle
 accepts, never reading the automaton.  It, :func:`fibonacci` and
@@ -247,22 +247,35 @@ def count_by_perimeter(n: int, c: ConstraintClass) -> int:
     return _term(c, n)
 
 
+def _largest_part(n: int, key: RefinementKey) -> int | None:
+    """The largest part a that ``key`` fixes at perimeter ``n`` (length
+    n + 1 - a, rank 2a - n - 1), or None when no such a lies in 1..n."""
+    v = key.value
+    a = v if isinstance(key, LargestPart) else n + 1 - v if isinstance(key, NumParts) else (v + n + 1) // 2
+    return a if 1 <= a <= n and not (isinstance(key, Rank) and (v + n + 1) % 2) else None
+
+
+def _row(n: int, c: ConstraintClass) -> int:
+    """Class ``c``'s counts at perimeter ``n`` by largest part a as base-2^n
+    digits a - 1 (none exceeds 2^(n-1)): one walk, each E weighing 2^n."""
+    return _closed(c.automaton, next(islice(_walk(c.automaton, n, 1), n - 1, None)), 1)
+
+
+def _digit(row: int, n: int, a: int) -> int:
+    """The count at largest part ``a`` in the perimeter-``n`` row."""
+    return (row >> (n * (a - 1))) & ((1 << n) - 1)
+
+
 def count_refined(n: int, key: RefinementKey, c: ConstraintClass) -> int:
     """Count the class-``c`` partitions with perimeter ``n`` and the given
     refined statistic; out-of-range key values count 0 rather than raising.
-
-    Each key picks one largest part a, the word's number of E's: one walk
-    with each E weighing 2^n holds its count in base-2^n digit a - 1.
-    """
+    Each key picks one largest part, one entry of :func:`_row`."""
     _require_int(n, "perimeter", 1)
     if not isinstance(key, (LargestPart, NumParts, Rank)):
         raise ValueError(f"unsupported refinement key {key!r}")
-    _require_int(v := key.value, "a key value")
-    a = v if isinstance(key, LargestPart) else n + 1 - v if isinstance(key, NumParts) else (v + n + 1) // 2
-    if not 1 <= a <= n or isinstance(key, Rank) and (v + n + 1) % 2:
-        return 0
-    total = _closed(c.automaton, next(islice(_walk(c.automaton, n, 1), n - 1, None)), 1)
-    return (total >> (n * (a - 1))) & ((1 << n) - 1)
+    _require_int(key.value, "a key value")
+    a = _largest_part(n, key)
+    return 0 if a is None else _digit(_row(n, c), n, a)
 
 
 def count_parity_split(n: int) -> tuple[int, int]:

@@ -38,10 +38,12 @@ from .counting import (
     LargestPart,
     NumParts,
     Rank,
+    _digit,
+    _largest_part,
+    _row,
     binom,
     count_by_perimeter,
     count_parity_split,
-    count_refined,
     enumerate_by_perimeter,
     excess_e,
     fibonacci,
@@ -285,7 +287,8 @@ def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
 
 # The refined equinumerations of distinct against odd parts at perimeter n:
 # (case, statistic on distinct parts, equal to k; statistic on odd parts and
-# its value at k; the count_refined key of k; the binomial count at (n, k)).
+# its value at k; the refinement key of k; the binomial count at (n, k)).
+# `hookcomb table` 1-3 list one (n, k) of each case.
 _REFINEMENT_CASES = (
     ("length k distinct vs largest part 2k-1 odd", len, itemgetter(0), lambda k: 2 * k - 1,
      NumParts, lambda n, k: binom(n - k, k - 1)),
@@ -300,14 +303,17 @@ def _scan_refinements(max_n: int) -> Iterator[dict]:
     for n in range(1, max_n + 1):
         distinct = parts_by_perimeter(n, DISTINCT)
         odd = parts_by_perimeter(n, ODD)
-        # each statistic is tallied once per perimeter, then read at every k
+        # each statistic is tallied once per perimeter, and the automaton's
+        # counts by largest part are one row, one walk; both are read at every k
         tallies = [(Counter(map(f, distinct)), Counter(map(g, odd))) for _, f, g, *_ in _REFINEMENT_CASES]
+        row = _row(n, DISTINCT)
         for k in range(0, n + 2):
             for (label, _, _, odd_at, key, closed), (lhs, rhs) in zip(_REFINEMENT_CASES, tallies):
+                a = _largest_part(n, key(k))
                 routes = {
                     "enumeration distinct": lhs[k],
                     "enumeration odd": rhs[odd_at(k)],
-                    "automaton distinct": count_refined(n, key(k), DISTINCT),
+                    "automaton distinct": 0 if a is None else _digit(row, n, a),
                 }
                 yield from _disagreement({"n": n, "k": k, "case": label}, "binomial", closed(n, k), routes)
 
@@ -320,25 +326,20 @@ def verify_refinements(max_n: int = 14) -> TheoremReport:
 
 
 def _parity_split_binomials(n: int) -> tuple[int, int]:
-    """count_parity_split by summing the length-k counts binom(n-k, k-1)
-    over even and over odd k."""
-    even = sum(binom(n - 2 * k - 2, 2 * k + 1) for k in range((n + 1) // 2 + 1))
-    odd = sum(binom(n - 2 * k - 1, 2 * k) for k in range((n + 1) // 2 + 1))
-    return even, odd
-
-
-def _parity_split_enumeration(n: int) -> tuple[int, int]:
-    """count_parity_split by the brute-force walk."""
-    distinct = parts_by_perimeter(n, DISTINCT)
-    odd = sum(len(parts) & 1 for parts in distinct)
-    return len(distinct) - odd, odd
+    """count_parity_split by summing the length case's count in
+    :data:`_REFINEMENT_CASES`, binom(n - k, k - 1), over even and over odd k."""
+    length_k = _REFINEMENT_CASES[0][-1]
+    return sum(length_k(n, k) for k in range(2, n + 1, 2)), sum(length_k(n, k) for k in range(1, n + 1, 2))
 
 
 def _parity_split_routes(n: int, enum_limit: int) -> dict[str, list[int]]:
-    """The independent routes to count_parity_split(n), as [even, odd]."""
+    """The independent routes to count_parity_split(n), as [even, odd]: the
+    binomial sums and, up to ``enum_limit``, the brute-force walk."""
     routes = {"binomial_sums": list(_parity_split_binomials(n))}
     if n <= enum_limit:
-        routes["enumeration"] = list(_parity_split_enumeration(n))
+        distinct = parts_by_perimeter(n, DISTINCT)
+        odd = sum(len(parts) & 1 for parts in distinct)
+        routes["enumeration"] = [len(distinct) - odd, odd]
     return routes
 
 

@@ -19,6 +19,7 @@ from hookcomb import (
     fibonacci,
     g_class,
     mod_one,
+    verify_refinements,
 )
 from hookcomb import counting
 from hookcomb.counting import partitions_of_size, parts_by_perimeter
@@ -291,6 +292,35 @@ def test_count_refined_row_sums():
         for c in (UNRESTRICTED, DISTINCT, ODD):
             total = sum(count_refined(n, LargestPart(m), c) for m in range(1, n + 1))
             assert total == count_by_perimeter(n, c)
+
+
+@pytest.mark.parametrize("c", _all_classes(), ids=str)
+def test_row_holds_the_counts_by_largest_part(c):
+    for n in range(1, 15):
+        tally = Counter(parts[0] for parts in parts_by_perimeter(n, c))
+        row = counting._row(n, c)
+        assert row == sum(tally[a] << n * (a - 1) for a in range(1, n + 1)), n
+        entries = [counting._digit(row, n, a) for a in range(1, n + 1)]
+        assert entries == [tally[a] for a in range(1, n + 1)], n
+        assert sum(entries) == count_by_perimeter(n, c), n
+
+
+def test_refined_counts_walk_once_per_row(monkeypatch):
+    real, walks = counting._walk, []
+
+    def counted(aut, e_shift, n_weight):
+        walks.append(e_shift)
+        return real(aut, e_shift, n_weight)
+
+    monkeypatch.setattr(counting, "_walk", counted)
+    assert verify_refinements(max_n=14).passed
+    assert walks == list(range(1, 15))  # one row per perimeter, each E weighing 2^n
+    walks.clear()
+    assert count_refined(12, NumParts(4), DISTINCT) == 56  # binom(8, 3)
+    assert walks == [12]
+    walks.clear()
+    assert count_refined(12, NumParts(0), DISTINCT) == 0
+    assert walks == []
 
 
 def test_count_refined_out_of_range_is_zero():

@@ -26,7 +26,7 @@ from hookcomb import (
     verify_refinements,
     verify_rogers_fine,
 )
-from hookcomb import identities
+from hookcomb import counting, identities
 from hookcomb.counting import LargestPart, NumParts, Rank, count_refined, partitions_of_size
 from hookcomb.identities import (
     _franklin_parts,
@@ -368,26 +368,34 @@ REFINEMENT_CASES = {
 }
 
 
-def _count_refined_off_by_one_at(monkeypatch, faults):
-    """Make ``identities.count_refined`` count one too many at each
-    (n, key type, k) in ``faults``."""
-    real = identities.count_refined
+def _row_off_by_one_at(monkeypatch, faults):
+    """Make the row ``refinements`` reads at perimeter n count one too many
+    at the largest part that the key of each (n, key type, k) in ``faults``
+    picks there."""
+    real = identities._row
+    planted = {(n, counting._largest_part(n, key(k))) for n, key, k in faults}
+    assert None not in {a for _, a in planted}, "each fault must pick an entry of the row"
 
-    def off_by_one(n, key, c):
-        return real(n, key, c) + ((n, type(key), key.value) in faults)
+    def off_by_one(n, c):
+        return real(n, c) + sum(1 << n * (a - 1) for m, a in planted if m == n)
 
-    monkeypatch.setattr(identities, "count_refined", off_by_one)
+    monkeypatch.setattr(identities, "_row", off_by_one)
 
 
-@pytest.mark.parametrize("key", list(REFINEMENT_CASES), ids=lambda key: key.__name__)
-def test_refinements_catch_a_wrong_refined_count(key, monkeypatch):
+# a fault at (6, key, k) is the first the scan reads: no other case reads
+# its entry at a smaller k; at perimeter 6 every rank 2a - 7 is odd, so the
+# rank fault is at k = 1
+@pytest.mark.parametrize(
+    "key, k", [(NumParts, 2), (LargestPart, 2), (Rank, 1)], ids=["NumParts", "LargestPart", "Rank"]
+)
+def test_refinements_catch_a_wrong_refined_count(key, k, monkeypatch):
     # a second fault later in the scan must not be the one reported
-    _count_refined_off_by_one_at(monkeypatch, {(6, key, 2), (9, key, 1)})
+    _row_off_by_one_at(monkeypatch, {(6, key, k), (9, key, 2)})
     ce = verify_refinements(max_n=10).counterexample
-    binomial = count_refined(6, key(2), DISTINCT)
+    binomial = count_refined(6, key(k), DISTINCT)
     assert ce == {
         "n": 6,
-        "k": 2,
+        "k": k,
         "case": REFINEMENT_CASES[key],
         "route": "automaton distinct",
         "got": binomial + 1,
@@ -396,11 +404,31 @@ def test_refinements_catch_a_wrong_refined_count(key, monkeypatch):
 
 
 def test_refinements_report_the_smallest_of_several_faults(monkeypatch):
-    # in scan order (n, k, case): at n = 5 the rank case at k = 1 comes
-    # before the length case at k = 3; the largest-part fault is at n = 7
-    _count_refined_off_by_one_at(monkeypatch, {(5, NumParts, 3), (7, LargestPart, 0), (5, Rank, 1)})
+    # in scan order (n, k, case): at n = 5 the rank case at k = 0 comes
+    # before the length case at k = 1; the largest-part fault is at n = 7
+    _row_off_by_one_at(monkeypatch, {(5, NumParts, 1), (7, LargestPart, 1), (5, Rank, 0)})
     ce = verify_refinements(max_n=8).counterexample
-    assert (ce["n"], ce["k"], ce["case"], ce["route"]) == (5, 1, REFINEMENT_CASES[Rank], "automaton distinct")
+    assert (ce["n"], ce["k"], ce["case"], ce["route"]) == (5, 0, REFINEMENT_CASES[Rank], "automaton distinct")
+
+
+@pytest.mark.parametrize("shift", ["up", "down"])
+def test_refinements_catch_a_row_read_one_digit_off(shift, monkeypatch):
+    real = identities._row
+
+    def shifted(n, c):
+        return real(n, c) << n if shift == "up" else real(n, c) >> n
+
+    monkeypatch.setattr(identities, "_row", shifted)
+    # the one partition of perimeter 1 has rank 0, the scan's first read
+    ce = verify_refinements().counterexample
+    assert ce == {
+        "n": 1,
+        "k": 0,
+        "case": REFINEMENT_CASES[Rank],
+        "route": "automaton distinct",
+        "got": 0,
+        "binomial": 1,
+    }
 
 
 @pytest.mark.parametrize(
