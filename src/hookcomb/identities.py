@@ -489,7 +489,7 @@ def _nested_sum(qbound: int, levels: Iterable[tuple[MultiPoly, MultiPoly, MultiP
         if depth > qbound:
             break
         kept.append((c, num, den))
-        depth += min((e[num._qi] for e in num.terms), default=qbound + 1)  # num is 0 to the bound
+        depth += min((e[-1] for e in num.terms), default=qbound + 1)  # num is 0 to the bound
     inner = kept.pop()[0]
     for c, num, den in reversed(kept):
         inner = expand(RationalGF(num * inner, den), qbound) + c
@@ -766,7 +766,7 @@ CHECKS: dict[str, Callable[..., TheoremReport]] = {
 
 def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     """Run one named check, or all of them; reports sorted by check id
-    (and gap parameter).  Unknown ids raise KeyError.  Overrides of None
+    (and gap parameter).  Unknown ids raise ValueError.  Overrides of None
     are ignored; any other that no selected check takes raises ValueError,
     and ``all`` passes each override only to the checks that take it.
 
@@ -781,7 +781,7 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     elif check_id in CHECKS:
         ids = [check_id]
     else:
-        raise KeyError(check_id)
+        raise ValueError(f"unknown check {check_id!r} (known: all, {', '.join(sorted(CHECKS))})")
     overrides = {k: v for k, v in overrides.items() if v is not None}
     accepted = {cid: inspect.signature(CHECKS[cid]).parameters for cid in ids}
     unknown = sorted(set(overrides).difference(*accepted.values()))

@@ -10,14 +10,15 @@ A ``qbound`` of ``None`` means "never truncate" (a plain polynomial);
 binary operations, and :func:`series_inverse` with an explicit bound,
 carry the smaller of the two bounds.
 
-The product and division kernels work on packed exponent vectors: each
-vector becomes one int with one bit field per variable, q in the top field
-and the other variables below it in their tuple order.  Adding two packed
-keys then multiplies the monomials, and because q sits on top, sorting
-packed keys sorts by q-degree, so the q-bound becomes a cut on a sorted
-list.  The field width is worked out per call from the operands, wide
-enough for every exponent the call can produce, so a field never carries
-into the next one:
+q is the last variable of every polynomial.  The product and division
+kernels work on packed exponent vectors: each vector becomes one int with
+one bit field per variable, the fields in tuple order from the bottom, so
+q, the last variable, is in the top field.  Adding two packed keys then
+multiplies the monomials, and because q sits on top, sorting packed keys
+sorts by q-degree, so the q-bound becomes a cut on a sorted list.  The
+field width is worked out per call from the operands, wide enough for
+every exponent the call can produce, so a field never carries into the
+next one:
 
 - a product's exponents are at most the largest exponent of one factor
   plus the largest exponent of the other;
@@ -36,8 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, and_, lshift, rshift
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -53,48 +53,41 @@ def _min_bound(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-@lru_cache(maxsize=256)
-def _shifts(n: int, qi: int, width: int) -> tuple[int, ...]:
-    """Bit offset of each variable's field in a packed key: q in the top
-    field, the other variables below it in their tuple order."""
-    return tuple(width * (n - 1) if i == qi else width * (i - (i > qi)) for i in range(n))
-
-
-def _packed(terms: Mapping[tuple[int, ...], int], shifts: tuple[int, ...]) -> list[tuple[int, int]]:
+def _packed(terms: Mapping[tuple[int, ...], int], width: int) -> list[tuple[int, int]]:
     """The (key, coefficient) pairs of a term map, packed one variable's
-    column of exponents at a time."""
+    column of exponents at a time, variable i at bit offset ``width * i``."""
     keys: Iterable[int] = repeat(0)
-    for column, shift in zip(zip(*terms), shifts):
+    for column, shift in zip(zip(*terms), count(0, width)):
         keys = map(add, keys, map(lshift, column, repeat(shift)))
     return list(zip(keys, terms.values()))
 
 
-def _unpacked(terms: Mapping[int, int], shifts: tuple[int, ...], width: int) -> dict[tuple[int, ...], int]:
-    """The term map of a packed one, zeros dropped, unpacked one variable's
-    column of exponents at a time; the bottom field needs no shift and the
-    top one no mask."""
+def _unpacked(terms: Mapping[int, int], n: int, width: int) -> dict[tuple[int, ...], int]:
+    """The term map over ``n`` variables of a packed one, zeros dropped,
+    unpacked one variable's column of exponents at a time; the bottom field
+    needs no shift and the top one, q's, no mask."""
     mask = repeat((1 << width) - 1)
-    top = max(shifts)
+    top = width * (n - 1)
     keys = list(compress(terms, terms.values()))
 
     def column(shift: int) -> Iterable[int]:
         field = map(rshift, keys, repeat(shift)) if shift else keys
         return field if shift == top else map(and_, field, mask)
 
-    return dict(zip(zip(*map(column, shifts)), filter(None, terms.values())))
+    return dict(zip(zip(*(column(width * i) for i in range(n))), filter(None, terms.values())))
 
 
 class MultiPoly:
     """Sparse polynomial: a map from exponent vectors to int coefficients.
 
-    The variable tuple must contain ``q``; the q-exponent of every stored
+    The variable tuple must end with ``q``; the q-exponent of every stored
     term is at most ``qbound`` (when that is not None) and no zero
     coefficients are stored.  Exponents, coefficients and a bound must be
     ints, not bools; anything else raises :class:`TypeError`.  Instances are immutable by convention: the
     term map is exposed read-only and every operation builds a new value.
     """
 
-    __slots__ = ("variables", "qbound", "_terms", "_qi")
+    __slots__ = ("variables", "qbound", "_terms")
 
     def __init__(
         self,
@@ -102,13 +95,12 @@ class MultiPoly:
         terms: Mapping[tuple[int, ...], int],
         qbound: int | None = None,
     ):
-        if "q" not in variables:
-            raise ValueError("the variable tuple must contain 'q'")
+        if not variables or variables[-1] != "q":
+            raise ValueError("the variable tuple must end with 'q'")
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         if qbound is not None:
-            _require_int(qbound, "qbound")
-        qi = variables.index("q")
+            _require_int(qbound, "qbound", 0)
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in terms.items():
             _require_int(coeff, "a coefficient")
@@ -121,13 +113,12 @@ class MultiPoly:
                     raise TypeError(f"an exponent must be an int, got {type(e).__name__}")
                 if e < 0:
                     raise ValueError("negative exponents are not supported")
-            if coeff == 0 or (qbound is not None and exps[qi] > qbound):
+            if coeff == 0 or (qbound is not None and exps[-1] > qbound):
                 continue
             clean[exps] = coeff
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "qbound", qbound)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_qi", qi)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -180,10 +171,10 @@ class MultiPoly:
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
             out[exps] = out.get(exps, 0) + coeff
-        return _unchecked(self.variables, _truncated(out, self._qi, bound), bound, self._qi)
+        return _unchecked(self.variables, _truncated(out, bound), bound)
 
     def __neg__(self) -> "MultiPoly":
-        return _unchecked(self.variables, {e: -c for e, c in self._terms.items()}, self.qbound, self._qi)
+        return _unchecked(self.variables, {e: -c for e, c in self._terms.items()}, self.qbound)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -191,17 +182,16 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         bound = _min_bound(self.qbound, other.qbound)
-        qi = self._qi
+        n = len(self.variables)
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
         if not a:
-            return _unchecked(self.variables, {}, bound, qi)
+            return _unchecked(self.variables, {}, bound)
         width = (max(chain.from_iterable(a)) + max(chain.from_iterable(b))).bit_length()
-        shifts = _shifts(len(self.variables), qi, width)
-        top = shifts[qi]
-        outer = _packed(a, shifts)
-        inner = _packed(b, shifts)
+        top = width * (n - 1)
+        outer = _packed(a, width)
+        inner = _packed(b, width)
         if bound is not None and (max(outer)[0] >> top) + (max(inner)[0] >> top) > bound:
             # some pair passes the bound: cut the sorted inner list, as
             # ka + kb < limit exactly when the pair's q-degree fits
@@ -217,7 +207,7 @@ class MultiPoly:
             for kb, cb in row:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        return _unchecked(self.variables, _unpacked(out, shifts, width), bound, qi)
+        return _unchecked(self.variables, _unpacked(out, n, width), bound)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -275,15 +265,13 @@ class MultiPoly:
                     if m:
                         vec = tuple([a + e * b for a, b in zip(vec, m)])
             out[vec] = out.get(vec, 0) + coeff
-        qi = target.index("q")
-        return _unchecked(target, _truncated(out, qi, bound), bound, qi)
+        return _unchecked(target, _truncated(out, bound), bound)
 
     # -- rendering ----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in the canonical order: q-degree, then exponent vector."""
-        qi = self._qi
-        return sorted(self._terms.items(), key=lambda item: (item[0][qi], item[0]))
+        return sorted(self._terms.items(), key=lambda item: (item[0][-1], item[0]))
 
     def text(self) -> str:
         """Canonical text form: terms by (q-degree, exponent vector), as in
@@ -323,26 +311,23 @@ class MultiPoly:
         return f"MultiPoly({self.text()!r}, qbound={self.qbound})"
 
 
-def _unchecked(
-    variables: tuple[str, ...], terms: dict[tuple[int, ...], int], qbound: int | None, qi: int
-) -> MultiPoly:
+def _unchecked(variables: tuple[str, ...], terms: dict[tuple[int, ...], int], qbound: int | None) -> MultiPoly:
     """The :class:`MultiPoly` of ``terms``, without ``__init__`` and without
-    validation: the caller guarantees that every key is a tuple of
-    non-negative ints of the right length, no coefficient is zero, no
-    q-degree exceeds ``qbound`` and ``qi`` is the index of q."""
+    validation: the caller guarantees that ``variables`` ends with q, every
+    key is a tuple of non-negative ints of the right length, no coefficient
+    is zero and no q-degree exceeds ``qbound``."""
     p = object.__new__(MultiPoly)
     object.__setattr__(p, "variables", variables)
     object.__setattr__(p, "qbound", qbound)
     object.__setattr__(p, "_terms", terms)
-    object.__setattr__(p, "_qi", qi)
     return p
 
 
-def _truncated(terms: dict[tuple[int, ...], int], qi: int, qbound: int | None) -> dict[tuple[int, ...], int]:
+def _truncated(terms: dict[tuple[int, ...], int], qbound: int | None) -> dict[tuple[int, ...], int]:
     """``terms`` without zero coefficients or q-degrees above ``qbound``."""
     if qbound is None:
         return {e: c for e, c in terms.items() if c}
-    return {e: c for e, c in terms.items() if c and e[qi] <= qbound}
+    return {e: c for e, c in terms.items() if c and e[-1] <= qbound}
 
 
 def _monomials(variables: tuple[str, ...], qbound: int | None = None) -> Callable[..., MultiPoly]:
@@ -371,18 +356,17 @@ def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
     q-degree-i part of ``den``, whose q-degree-0 part :class:`RationalGF`
     has checked is exactly 1.  Only the few layers that den has are visited."""
     _require_int(qbound, "qbound", 0)
-    variables, qi = den.variables, den._qi
-    rest = {e: c for e, c in den._terms.items() if 0 < e[qi] <= qbound}
-    reach = max((max(e) * qbound // e[qi] for e in rest), default=0)
+    n = len(den.variables)
+    rest = {e: c for e, c in den._terms.items() if 0 < e[-1] <= qbound}
+    reach = max((max(e) * qbound // e[-1] for e in rest), default=0)
     width = (max(chain.from_iterable(num._terms), default=0) + reach).bit_length()
-    shifts = _shifts(len(variables), qi, width)
-    top = shifts[qi]
+    top = width * (n - 1)
     num_layers: list[dict[int, int]] = [{} for _ in range(qbound + 1)]
-    for k, c in _packed(num._terms, shifts):
+    for k, c in _packed(num._terms, width):
         if k >> top <= qbound:
             num_layers[k >> top][k] = c
     den_layers: dict[int, list[tuple[int, int]]] = {}
-    for k, c in _packed(rest, shifts):
+    for k, c in _packed(rest, width):
         den_layers.setdefault(k >> top, []).append((k, c))
     ordered = sorted(den_layers.items())
     quotient: list[list[tuple[int, int]]] = []
@@ -400,7 +384,7 @@ def _divide(num: MultiPoly, den: MultiPoly, qbound: int) -> MultiPoly:
     terms: dict[int, int] = {}
     for acc in num_layers:
         terms.update(acc)
-    return _unchecked(variables, _unpacked(terms, shifts, width), qbound, qi)
+    return _unchecked(den.variables, _unpacked(terms, n, width), qbound)
 
 
 def pochhammer(base: MultiPoly, n: int, qbound: int | None = None) -> MultiPoly:
@@ -433,7 +417,7 @@ class RationalGF:
         den = self.denominator
         if self.numerator.variables != den.variables:
             raise ValueError("numerator and denominator must share variables")
-        if {e: c for e, c in den._terms.items() if e[den._qi] == 0} != {(0,) * len(den.variables): 1}:
+        if {e: c for e, c in den._terms.items() if e[-1] == 0} != {(0,) * len(den.variables): 1}:
             raise ValueError("denominator must have q-degree-0 part exactly 1")
 
 

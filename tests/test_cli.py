@@ -265,6 +265,15 @@ def test_count_split_parity(capsys):
     assert e_column == [-1, -1, 0, 1, 1, 0]
 
 
+def test_count_split_parity_e_is_even_minus_odd_of_the_split(capsys, monkeypatch):
+    from hookcomb import cli
+
+    monkeypatch.setattr(cli, "count_parity_split", lambda n: (10 * n, n))
+    code, out, _ = run(capsys, "count", "--perimeter", "1..3", "--class", "distinct", "--split-parity")
+    assert code == 0
+    assert out == "1 11 10 1 9\n2 22 20 2 18\n3 33 30 3 27\n"
+
+
 def test_count_split_parity_needs_distinct(capsys):
     argv = ("count", "--perimeter", "1..3", "--class", "odd", "--split-parity")
     assert run(capsys, *argv) == (2, "", "error: --split-parity applies only to --class distinct\n")
@@ -350,7 +359,7 @@ def test_verify_single_check(capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "no-such-check")
     assert code == 2
-    assert "unknown check" in err
+    assert err.startswith("error: unknown check 'no-such-check' (known: all, andrews-identity, ")
 
 
 def test_verify_all_reduced_depth(capsys):

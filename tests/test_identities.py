@@ -681,7 +681,7 @@ def test_parity_split_routes_catch_a_wrong_split(check, monkeypatch):
 def test_run_checks_registry():
     reports = run_checks("fibonacci", max_add=6, max_div=12)
     assert len(reports) == 1 and reports[0].passed
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown check 'nope' \(known: all, andrews-identity, "):
         run_checks("nope")
     assert set(CHECKS) >= {
         "euler-analogue",

@@ -21,7 +21,7 @@ from hookcomb import (
     pochhammer,
     series_inverse,
 )
-from hookcomb.series import _packed, _shifts, _unpacked
+from hookcomb.series import _packed, _unpacked
 
 V3 = ("x", "y", "q")
 
@@ -73,8 +73,20 @@ def test_variable_mismatch():
     other = MultiPoly.monomial(("y", "q"), 1, {"y": 1})
     with pytest.raises(ValueError, match=r"^variables \('x', 'y', 'q'\) vs \('y', 'q'\)$"):
         m3(1) + other
-    with pytest.raises(ValueError, match="^the variable tuple must contain 'q'$"):
-        MultiPoly.monomial(("x", "y"), 1, {})  # no q variable
+
+
+@pytest.mark.parametrize("variables", [("x", "y"), ("q", "x"), ("x", "q", "y"), ("x",), ()])
+def test_q_must_be_the_last_variable(variables):
+    with pytest.raises(ValueError, match="^the variable tuple must end with 'q'$"):
+        MultiPoly(variables, {})
+
+
+def test_qbound_must_not_be_negative():
+    with pytest.raises(ValueError, match="^qbound must be at least 0, got -1$"):
+        MultiPoly(("q",), {(0,): 1}, -1)
+    with pytest.raises(TypeError, match="^qbound must be an int, got bool$"):
+        MultiPoly(("q",), {(0,): 1}, True)
+    assert MultiPoly(("q",), {(0,): 1, (1,): 2}, 0) == MultiPoly.constant(1, ("q",))
 
 
 def test_coefficient_rejects_names_that_are_not_variables():
@@ -435,28 +447,38 @@ def test_json_terms_stable():
         (("x", "y", "q"), {}),
         (("q",), {(0,): 1, (1,): -2, (7,): 5}),
         (
-            ("a", "b", "q", "c", "d"),
-            {(0, 0, 0, 0, 0): 3, (2**70, 1, 2, 0, 5): -1, (1, 2**70 + 3, 0, 2**71 - 1, 0): 7, (0, 0, 2**70, 0, 1): 2},
+            ("a", "b", "c", "d", "q"),
+            {(0, 0, 0, 0, 0): 3, (2**70, 1, 0, 5, 2): -1, (1, 2**70 + 3, 2**71 - 1, 0, 0): 7, (0, 0, 0, 1, 2**70): 2},
         ),
     ],
     ids=["empty", "q-only", "five-variables"],
 )
 def test_packed_keys_round_trip(variables, terms):
     width = max((max(e) for e in terms), default=0).bit_length() + 1
-    qi = variables.index("q")
-    shifts = _shifts(len(variables), qi, width)
-    pairs = _packed(terms, shifts)
-    # each key holds every exponent in its own field, q's on top
-    assert pairs == [(sum(e << s for e, s in zip(exps, shifts)), c) for exps, c in terms.items()]
-    assert shifts[qi] == width * (len(variables) - 1)
-    assert _unpacked(dict(pairs), shifts, width) == terms
+    pairs = _packed(terms, width)
+    # each key holds every exponent in its own field, in tuple order from
+    # the bottom, so q's is on top
+    assert pairs == [(sum(e << (width * i) for i, e in enumerate(exps)), c) for exps, c in terms.items()]
+    assert _unpacked(dict(pairs), len(variables), width) == terms
 
 
 def test_unpacked_drops_zero_coefficients():
-    shifts = _shifts(3, 2, 4)
-    key = (1 << shifts[0]) + (2 << shifts[1]) + (3 << shifts[2])
-    assert _unpacked({key: 0, 1 << shifts[2]: 4, 0: 0}, shifts, 4) == {(0, 0, 1): 4}
-    assert _unpacked({key: 0}, shifts, 4) == {}
+    key = 1 + (2 << 4) + (3 << 8)
+    assert _unpacked({key: 0, 1 << 8: 4, 0: 0}, 3, 4) == {(0, 0, 1): 4}
+    assert _unpacked({key: 0}, 3, 4) == {}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_width_packing(n):
+    # every exponent 0 makes the field width 0: every field sits at offset 0
+    zero = (0,) * n
+    assert _packed({zero: 5}, 0) == [(0, 5)]
+    assert _unpacked({0: 5}, n, 0) == {zero: 5}
+    variables = ("x", "y", "q")[-n:]
+    six = MultiPoly.constant(2, variables, 4) * MultiPoly.constant(3, variables)
+    assert dict(six.terms) == {zero: 6} and six.qbound == 4
+    one = MultiPoly.constant(1, variables)
+    assert dict(expand(RationalGF(six, one), 2).terms) == {zero: 6}
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +495,9 @@ BOUNDS = st.one_of(st.none(), st.integers(0, 6))
 
 
 def _ring(data):
-    """1-4 variables with q at any index."""
+    """1-4 variables, q the last."""
     n = data.draw(st.integers(1, 4))
-    others = ["a", "b", "c"][: n - 1]
-    qi = data.draw(st.integers(0, n - 1))
-    return tuple(others[:qi] + ["q"] + others[qi:])
+    return ("a", "b", "c")[: n - 1] + ("q",)
 
 
 def _poly(data, variables, qbound=BOUNDS):
@@ -490,8 +510,7 @@ def _poly(data, variables, qbound=BOUNDS):
 def _unit(data, variables):
     """A polynomial whose q-degree-0 part is exactly 1; its q-degree >= 1
     exponents stay small enough that the inverse has few terms."""
-    qi = variables.index("q")
-    small = st.tuples(*[st.integers(1, 3) if i == qi else EXPONENTS for i in range(len(variables))])
+    small = st.tuples(*[EXPONENTS] * (len(variables) - 1), st.integers(1, 3))
     terms = data.draw(st.dictionaries(small, st.integers(-3, 3), max_size=3))
     terms[(0,) * len(variables)] = 1
     return MultiPoly(variables, terms, data.draw(BOUNDS))
@@ -501,8 +520,8 @@ def _min(a, b):
     return b if a is None else a if b is None else min(a, b)
 
 
-def _truncate(terms, qi, qbound):
-    return {e: c for e, c in terms.items() if c and (qbound is None or e[qi] <= qbound)}
+def _truncate(terms, qbound):
+    return {e: c for e, c in terms.items() if c and (qbound is None or e[-1] <= qbound)}
 
 
 def _schoolbook(a, b):
@@ -514,52 +533,50 @@ def _schoolbook(a, b):
     return out
 
 
-def _layered_inverse(terms, qi, n, qbound):
+def _layered_inverse(terms, n, qbound):
     """r_0 = 1 and r_j = -(p_1 r_(j-1) + ... + p_j r_0), with p_i the
     q-degree-i part of ``terms``."""
     layers = [{(0,) * n: 1}]
     for j in range(1, qbound + 1):
         acc = {}
         for e1, c1 in terms.items():
-            if 1 <= e1[qi] <= j:
-                for key, c in _schoolbook({e1: c1}, layers[j - e1[qi]]).items():
+            if 1 <= e1[-1] <= j:
+                for key, c in _schoolbook({e1: c1}, layers[j - e1[-1]]).items():
                     acc[key] = acc.get(key, 0) - c
         layers.append({e: c for e, c in acc.items() if c})
     return {e: c for layer in layers for e, c in layer.items()}
 
 
 def _assert_invariants(p):
-    qi = p.variables.index("q")
     for exps, coeff in p.terms.items():
         assert type(coeff) is int and coeff != 0
         assert type(exps) is tuple and len(exps) == len(p.variables)
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert p.qbound is None or exps[qi] <= p.qbound
+        assert p.qbound is None or exps[-1] <= p.qbound
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_product_and_sum_match_schoolbook(data):
     variables = _ring(data)
-    qi = variables.index("q")
     a, b = _poly(data, variables), _poly(data, variables)
     bound = _min(a.qbound, b.qbound)
     product, total = a * b, a + b
     for got in (product, total, a - b, -a):
         _assert_invariants(got)
     assert product.qbound == total.qbound == bound
-    assert dict(product.terms) == _truncate(_schoolbook(a.terms, b.terms), qi, bound)
+    assert dict(product.terms) == _truncate(_schoolbook(a.terms, b.terms), bound)
     summed = dict(a.terms)
     for e, c in b.terms.items():
         summed[e] = summed.get(e, 0) + c
-    assert dict(total.terms) == _truncate(summed, qi, bound)
+    assert dict(total.terms) == _truncate(summed, bound)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_inverse_and_expand_match_layered_definition(data):
     variables = _ring(data)
-    qi, n = variables.index("q"), len(variables)
+    n = len(variables)
     den = _unit(data, variables)
     asked = data.draw(BOUNDS)
     bound = _min(asked, den.qbound)
@@ -570,14 +587,14 @@ def test_inverse_and_expand_match_layered_definition(data):
     inv = series_inverse(den, asked)
     _assert_invariants(inv)
     assert inv.qbound == bound
-    assert dict(inv.terms) == _layered_inverse(den.terms, qi, n, bound)
+    assert dict(inv.terms) == _layered_inverse(den.terms, n, bound)
 
     num = _poly(data, variables)
     qbound = data.draw(st.integers(0, 6))
     got = expand(RationalGF(num, den), qbound)
     _assert_invariants(got)
     assert got.qbound == qbound
-    ref_inv = _layered_inverse(_truncate(den.terms, qi, qbound), qi, n, qbound)
-    num_terms = _truncate(num.terms, qi, qbound)
-    assert dict(got.terms) == _truncate(_schoolbook(num_terms, ref_inv), qi, qbound)
+    ref_inv = _layered_inverse(_truncate(den.terms, qbound), n, qbound)
+    num_terms = _truncate(num.terms, qbound)
+    assert dict(got.terms) == _truncate(_schoolbook(num_terms, ref_inv), qbound)
 
