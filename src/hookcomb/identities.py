@@ -7,12 +7,15 @@ they disagree.  :func:`_report` runs a scan up to its first counterexample,
 which is therefore the smallest one, and returns a :class:`TheoremReport`:
 fail with that counterexample, or pass when the scan ends without one.
 Where several routes compute one value, :func:`_disagreement` names the
-first route that got it wrong.  Checks never raise on a mathematical
-mismatch, only on invalid parameters, and those raise when the check is
-called, before any scan work starts: each integer parameter goes through
-:func:`hookcomb.partitions._require_int`, so a bool or a float raises
-``TypeError`` and a depth below its minimum ``ValueError``, as a check
-over an empty range would compare nothing and still report a pass.
+first route that got it wrong; every series route compares through
+:func:`_series_disagreement`, which names the first route whose series
+differs and the lowest monomial where it does.  Checks never raise on a
+mathematical mismatch, only on invalid parameters, and those raise when
+the check is called, before any scan work starts: each integer parameter
+goes through :func:`hookcomb.partitions._require_int`, so a bool or a
+float raises ``TypeError`` and a depth below its minimum ``ValueError``,
+as a check over an empty range would compare nothing and still report a
+pass.
 
 Every brute-force route lists the partitions of a perimeter through one
 enumerator, :func:`hookcomb.counting.parts_by_perimeter`, which walks them
@@ -112,6 +115,20 @@ def _disagreement(case: dict, label: str, expected: object, routes: dict) -> Ite
     for route, got in routes.items():
         if got != expected:
             yield {**case, "route": route, "got": got, label: expected}
+            return
+
+
+def _series_disagreement(case: dict, reference: MultiPoly, routes: dict) -> Iterator[dict]:
+    """The first of ``routes`` (route name -> series) that differs from
+    ``reference``, as a counterexample: the case, the route under
+    ``versus``, the lowest monomial where the two differ, and the
+    reference's coefficient there as ``lhs``, the route's as ``rhs``."""
+    for route, series in routes.items():
+        if series != reference:
+            exps, _ = (reference - series).sorted_terms()[0]
+            named = dict(zip(reference.variables, exps))
+            lhs, rhs = reference.coefficient(named), series.coefficient(named)
+            yield {**case, "versus": route, "monomial": named, "lhs": lhs, "rhs": rhs}
             return
 
 
@@ -421,19 +438,12 @@ def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
     return _report("d-chain", {"d": d, "max_n": max_n}, _scan_d_chain(d, max_n))
 
 
-def _first_term_difference(a: MultiPoly, b: MultiPoly) -> dict:
-    exps, _ = (a - b).sorted_terms()[0]
-    named = dict(zip(a.variables, exps))
-    return {"monomial": named, "lhs": a.coefficient(named), "rhs": b.coefficient(named)}
-
-
 def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
     expanded = expand(gf_of_class(c), qbound)
     tables = [parts_by_perimeter(n, c) for n in range(1, qbound + 1)]
     terms = (((parts[0], len(parts), n), 1) for n, table in enumerate(tables, 1) for parts in table)
     brute = _brute_series(("x", "y", "q"), terms, qbound)
-    if expanded != brute:
-        yield {"class": str(c), "versus": "enumeration", **_first_term_difference(expanded, brute)}
+    yield from _series_disagreement({"class": str(c)}, expanded, {"enumeration": brute})
     for n, table in enumerate(tables, 1):
         engine = tuple(p.parts for p in enumerate_by_perimeter(n, c))
         if engine != table:  # sample both from the first position that differs
@@ -527,11 +537,12 @@ def _series_andrews_rhs(qbound: int) -> MultiPoly:
 
 
 def _scan_andrews_identity(qbound: int) -> Iterator[dict]:
-    a = _series_andrews_lhs(qbound)
-    others = (("enumeration", _series_andrews_middle), ("franklin-paired", _series_andrews_franklin))
-    for label, series in (*others, ("pentagonal", _series_andrews_rhs)):
-        if a != (other := series(qbound)):
-            yield {"versus": label, **_first_term_difference(a, other)}
+    routes = {
+        "enumeration": _series_andrews_middle(qbound),
+        "franklin-paired": _series_andrews_franklin(qbound),
+        "pentagonal": _series_andrews_rhs(qbound),
+    }
+    yield from _series_disagreement({}, _series_andrews_lhs(qbound), routes)
 
 
 def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
@@ -587,22 +598,18 @@ def regrade_limit(qbound: int) -> int:
 
 def _scan_refined_identity(qbound: int, g_limit: int) -> Iterator[dict]:
     lhs = _series_refined_lhs(qbound)
-    for label, series in (("enumeration", _series_refined_middle), ("staircase-product", _series_refined_rhs)):
-        if lhs != (other := series(qbound)):
-            yield {"versus": label, **_first_term_difference(lhs, other)}
+    routes = {"enumeration": _series_refined_middle(qbound), "staircase-product": _series_refined_rhs(qbound)}
+    yield from _series_disagreement({}, lhs, routes)
     # collapse x -> y, y -> -y: must give the single-variable alternating
     # series minus its constant term
     m = _monomials(("y", "q"), qbound)
     collapsed = lhs.substitute({"x": m(y=1), "y": m(-1, y=1)})
     andrews = _series_andrews_lhs(qbound) - m()
-    if collapsed != andrews:
-        yield {"versus": "collapsed-to-single-variable", **_first_term_difference(collapsed, andrews)}
+    yield from _series_disagreement({}, collapsed, {"collapsed-to-single-variable": andrews})
     # regrade by perimeter: x^(largest) y^(length) q^(perimeter), truncated at g_limit
     terms = (((parts[0], len(parts), parts[0] + len(parts) - 1), 1) for _, parts in _distinct_by_size(qbound))
     regraded = _brute_series(("x", "y", "q"), terms, g_limit)
-    direct = expand(gf_of_class(DISTINCT), g_limit)
-    if regraded != direct:
-        yield {"versus": "perimeter-regrade", **_first_term_difference(direct, regraded)}
+    yield from _series_disagreement({}, expand(gf_of_class(DISTINCT), g_limit), {"perimeter-regrade": regraded})
 
 
 def verify_refined_identity(qbound: int = 15) -> TheoremReport:
@@ -656,8 +663,7 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
 
 def _scan_rogers_fine(qbound: int) -> Iterator[dict]:
     lhs, rhs = rogers_fine_sides(qbound)
-    if lhs != rhs:
-        yield _first_term_difference(lhs, rhs)
+    yield from _series_disagreement({}, lhs, {"right side": rhs})
 
 
 def verify_rogers_fine(qbound: int = 10) -> TheoremReport:
@@ -723,7 +729,7 @@ def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
 
 
 def _scan_fibonacci(max_add: int, max_div: int) -> Iterator[dict]:
-    fib = [fibonacci(i) for i in range(max_add + max_div + 2)]
+    fib = [fibonacci(i) for i in range(max(2 * max_add, max_div) + 1)]
     for m in range(0, max_add + 1):
         for n in range(1, max_add + 1):
             lhs = fib[m + n]

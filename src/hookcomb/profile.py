@@ -31,21 +31,8 @@ def to_profile(p: Partition) -> str:
     The word is E^{p_r} N E^{p_{r-1}-p_r} N ... E^{p_1-p_2} N: walking up
     from the bottom row, each N closes one part at the current width.
     """
-    length, bits = word_bits_from_parts(p.parts)
-    return "".join("EN"[(bits >> i) & 1] for i in range(length))
-
-
-def word_bits_from_parts(parts: tuple[int, ...]) -> tuple[int, int]:
-    """Encode a parts tuple as (word length, packed word bits), no validity
-    checks; the inverse of :func:`parts_from_word_bits` on partitions."""
-    bits = 0
-    pos = -1
-    prev = 0
-    for x in reversed(parts):
-        pos += x - prev + 1  # the E's that widen the row to x, then its N
-        bits |= 1 << pos
-        prev = x
-    return pos + 1, bits
+    up = p.parts[::-1]  # smallest part first
+    return "".join("E" * (x - prev) + "N" for x, prev in zip(up, (0, *up)))
 
 
 def parts_from_word_bits(length: int, bits: int) -> tuple[int, ...]:

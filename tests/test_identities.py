@@ -453,6 +453,123 @@ def test_refinements_catch_a_missing_odd_partition(dropped, k, key, monkeypatch)
     assert ce["got"] == ce["binomial"] - 1
 
 
+@pytest.mark.parametrize(
+    "check, name, route, monomial, lhs, rhs",
+    [
+        # no distinct-part partition gives y q^2: (2) gives -y^3 q^2
+        (verify_andrews_identity, "_series_andrews_middle", "enumeration", {"y": 1, "q": 2}, 0, 1),
+        (verify_andrews_identity, "_series_andrews_franklin", "franklin-paired", {"y": 1, "q": 2}, 0, 1),
+        (verify_andrews_identity, "_series_andrews_rhs", "pentagonal", {"y": 1, "q": 2}, 0, 1),
+        # (2) is the one distinct-part partition of size 2: x^2 y q^2, and
+        # -y^3 q^2 once collapsed
+        (verify_refined_identity, "_series_refined_middle", "enumeration", {"x": 2, "y": 1, "q": 2}, 1, 2),
+        (verify_refined_identity, "_series_refined_rhs", "staircase-product", {"x": 2, "y": 1, "q": 2}, 1, 2),
+        (verify_refined_identity, "_series_andrews_lhs", "collapsed-to-single-variable", {"y": 3, "q": 2}, -1, 0),
+    ],
+    ids=["andrews-enumeration", "franklin-paired", "pentagonal", "refined-enumeration", "staircase-product", "collapsed"],
+)
+def test_series_checks_name_the_route_with_a_wrong_term(check, name, route, monomial, lhs, rhs, monkeypatch):
+    # one more term in one route's series; the monomial's keys are its variables
+    real = getattr(identities, name)
+    term = MultiPoly.monomial(tuple(monomial), 1, monomial)
+    monkeypatch.setattr(identities, name, lambda qbound: real(qbound) + term)
+    ce = check(qbound=6).counterexample
+    assert ce == {"versus": route, "monomial": monomial, "lhs": lhs, "rhs": rhs}
+
+
+def test_refined_identity_catches_a_wrong_direct_form(monkeypatch):
+    # x y q, from (1), doubled in the rational form's expansion only
+    real = identities.gf_of_class
+
+    def wrong(c):
+        gf = real(c)
+        xyq = MultiPoly.monomial(("x", "y", "q"), 1, {"x": 1, "y": 1, "q": 1})
+        return RationalGF(gf.numerator + gf.denominator * xyq, gf.denominator)
+
+    monkeypatch.setattr(identities, "gf_of_class", wrong)
+    ce = verify_refined_identity(qbound=6).counterexample
+    assert ce == {"versus": "perimeter-regrade", "monomial": {"x": 1, "y": 1, "q": 1}, "lhs": 2, "rhs": 1}
+
+
+def test_rogers_fine_names_the_right_side(monkeypatch):
+    real = identities.rogers_fine_sides
+
+    def wrong(qbound):
+        lhs, rhs = real(qbound)
+        return lhs, rhs + MultiPoly.monomial(rhs.variables, 1, {"b": 1, "t": 1, "q": 1})
+
+    monkeypatch.setattr(identities, "rogers_fine_sides", wrong)
+    ce = verify_rogers_fine(qbound=4).counterexample
+    assert ce == {"versus": "right side", "monomial": {"a": 0, "b": 1, "t": 1, "q": 1}, "lhs": 1, "rhs": 2}
+
+
+def test_franklin_catches_fixed_points_at_the_wrong_sizes(monkeypatch):
+    # pentagonal sizes to 10 are 1, 2, 5, 7; drop 7 from the prediction
+    real = identities._generalized_pentagonals
+    monkeypatch.setattr(identities, "_generalized_pentagonals", lambda limit: [e for e in real(limit) if e[0] != 7])
+    ce = verify_franklin(max_size=10).counterexample
+    assert ce == {"reason": "fixed-point sizes", "expected": [1, 2, 5], "got": [1, 2, 5, 7]}
+
+
+@pytest.mark.parametrize(
+    "wrong, size, partition, y_exponent, length",
+    [
+        # the fixed point (3, 2) of size 5 has largest part plus length 5, not 6
+        (lambda size, k, y: (size, k, y + (size >= 5)), 5, [3, 2], 6, 2),
+        # the fixed point (2) of size 2 has length 1, not 2
+        (lambda size, k, y: (size, k + (size >= 2), y), 2, [2], 3, 2),
+    ],
+    ids=["y-exponent", "length"],
+)
+def test_franklin_catches_a_fixed_point_of_the_wrong_shape(wrong, size, partition, y_exponent, length, monkeypatch):
+    real = identities._generalized_pentagonals
+    monkeypatch.setattr(identities, "_generalized_pentagonals", lambda limit: [wrong(*e) for e in real(limit)])
+    ce = verify_franklin(max_size=10).counterexample
+    shape = {"partition": partition, "expected_y_exponent": y_exponent, "expected_length": length}
+    assert ce == {"reason": "fixed-point shape", "size": size, **shape}
+
+
+@pytest.mark.parametrize(
+    "family, values",
+    [
+        # h_D = F: F(2) = 1 and F(4) = 3 are odd, F(6) = 8 is not
+        (("h_D(2n) == 1 mod 2", 2, 0, "total", 2, 1), {"argument": 6, "h_D": 8}),
+        # the split is (1, 1) at perimeter 3, (4, 4) at 6
+        (("h_DO(3n) == h_DE(3n) == 1 mod 2", 3, 0, "parity", 2, 1), {"argument": 6, "h_DE": 4, "h_DO": 4}),
+        # (2) is the one distinct-part partition of perimeter 2: the halves differ
+        (("h_DO(2n) == h_DE(2n) == 0 mod 1", 2, 0, "parity", 1, 0), {"argument": 2, "h_DE": 0, "h_DO": 1}),
+    ],
+    ids=["total", "parity", "unequal-halves"],
+)
+def test_congruences_catch_a_false_family(family, values, monkeypatch):
+    monkeypatch.setattr(identities, "_CONGRUENCE_FAMILIES", identities._CONGRUENCE_FAMILIES + (family,))
+    ce = verify_congruences(max_n=12, enum_limit=12).counterexample
+    label, _, _, _, modulus, residue = family
+    assert ce == {"family": label, "modulus": modulus, "residue": residue, **values}
+
+
+@pytest.mark.parametrize(
+    "index, kwargs, expected",
+    [
+        # F(1 + 4) = F(2) F(4) + F(1) F(3) = 5 meets the planted 6
+        (5, {"max_add": 4, "max_div": 4}, {"claim": "addition", "m": 1, "n": 4, "lhs": 6, "rhs": 5}),
+        # max_add = 1 reads only F(0..2); F(3) = 2 does not divide the planted 9
+        (6, {"max_add": 1, "max_div": 8}, {"claim": "divisibility", "m": 3, "n": 6, "F_m": 2, "F_n": 9}),
+    ],
+    ids=["addition", "divisibility"],
+)
+def test_fibonacci_catches_a_wrong_value(index, kwargs, expected, monkeypatch):
+    real = identities.fibonacci
+    monkeypatch.setattr(identities, "fibonacci", lambda i: real(i) + (i == index))
+    assert verify_fibonacci(**kwargs).counterexample == expected
+
+
+@pytest.mark.parametrize("max_add, max_div", [(3, 1), (30, 1), (1, 30)])
+def test_fibonacci_takes_either_range_longer(max_add, max_div):
+    # the addition formula reads F(2 * max_add), divisibility F(max_div)
+    assert verify_fibonacci(max_add=max_add, max_div=max_div).passed
+
+
 # ---------------------------------------------------------------------------
 # series coefficients spot checks
 
@@ -822,6 +939,20 @@ def test_disagreement_names_the_first_disagreeing_route():
         {"n": 4, "route": "b", "got": 6, "expected": 5}
     ]
     assert list(identities._disagreement({"n": 4}, "expected", 5, {"a": 5})) == []
+
+
+def test_series_disagreement_names_the_first_route_and_its_lowest_monomial():
+    def m(coeff=1, **exponents):
+        return MultiPoly.monomial(("y", "q"), coeff, exponents)
+
+    reference = m() + m(y=1, q=1)
+    # differs at y^2 q^2, y q and y^5 q; q-degree first, then the exponents
+    off = reference + m(3, y=2, q=2) - m(y=1, q=1) + m(y=5, q=1)
+    routes = {"same": reference, "off": off, "later": m()}
+    assert list(identities._series_disagreement({"n": 4}, reference, routes)) == [
+        {"n": 4, "versus": "off", "monomial": {"y": 1, "q": 1}, "lhs": 1, "rhs": 0}
+    ]
+    assert list(identities._series_disagreement({}, reference, {"same": reference})) == []
 
 
 @pytest.mark.parametrize(
