@@ -49,18 +49,6 @@ from .identities import (
     TheoremReport,
     franklin,
     run_checks,
-    verify_andrews_identity,
-    verify_congruences,
-    verify_d_chain,
-    verify_euler_analogue,
-    verify_fibonacci,
-    verify_franklin,
-    verify_gf_coefficients,
-    verify_pentagonal_analogue,
-    verify_powers_of_two,
-    verify_refined_identity,
-    verify_refinements,
-    verify_rogers_fine,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .partitions import (
 )
 from .profile import from_profile, to_profile
 from .series import expand, gf_of_class
-from .identities import _REFINEMENT_CASES, run_checks
+from .identities import _REFINEMENT_CASES, CHECKS, run_checks
 
 DEFAULT_QBOUND = 15
 ENUMERATE_OUTPUT_LIMIT = 1 << 20  # all partitions of perimeter 21; enumerate refuses more
@@ -184,15 +184,20 @@ def _cmd_gf(args) -> int:
     return 0
 
 
+def _check_parameters() -> dict[str, list[str]]:
+    """Each parameter that some check takes -> "check (default value)" for
+    each check that takes it, in registry order."""
+    takers: dict[str, list[str]] = {}
+    for cid, check in CHECKS.items():
+        for name, (default, _) in check.params.items():
+            text = ", ".join(map(str, default)) + ", one report each" if isinstance(default, tuple) else default
+            takers.setdefault(name, []).append(f"{cid} (default {text})")
+    return takers
+
+
 def _cmd_verify(args) -> int:
-    overrides = {
-        "max_n": args.max_n,
-        "qbound": args.qbound,  # unset, each check keeps its own default qbound
-        "max_size": args.max_size,
-        "enum_limit": args.enum_limit,
-        "d": args.d,
-    }
-    reports = run_checks(args.check, **overrides)
+    # a flag left unset is None, so each check keeps its own default
+    reports = run_checks(args.check, **{name: getattr(args, name) for name in _check_parameters()})
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in reports], sort_keys=True))
     elif args.format == "csv":
@@ -299,11 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="run verification checks")
     p_verify.add_argument("check", help="'all' or a check id")
-    p_verify.add_argument("--max-n", dest="max_n", type=int)
-    p_verify.add_argument("--qbound", type=int)
-    p_verify.add_argument("--max-size", dest="max_size", type=int)
-    p_verify.add_argument("--enum-limit", dest="enum_limit", type=int)
-    p_verify.add_argument("--d", type=int)
+    for name, takers in _check_parameters().items():
+        p_verify.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int, help=", ".join(takers))
     _add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -1,6 +1,8 @@
 """Named verification checks for the perimeter-graded partition theorems.
 
-Each check is a scan: a generator that sweeps the check's parameter range
+Each check is a record in :data:`CHECKS`: its scan, whose docstring states
+the claim; each parameter's default and least value; and the params its
+report adds.  A scan is a generator that sweeps the check's parameter range
 in increasing order, compares independently computed quantities, and
 yields a counterexample (the case plus the conflicting values) wherever
 they disagree.  :func:`_report` runs a scan up to its first counterexample,
@@ -10,11 +12,12 @@ Where several routes compute one value, :func:`_disagreement` names the
 first route that got it wrong; every series route compares through
 :func:`_series_disagreement`, which names the first route whose series
 differs and the lowest monomial where it does.  Checks never raise on a
-mathematical mismatch, only on invalid parameters, and those raise when
-the check is called, before any scan work starts: each integer parameter
-goes through :func:`hookcomb.partitions._require_int`, so a bool or a
-float raises ``TypeError`` and a depth below its minimum ``ValueError``,
-as a check over an empty range would compare nothing and still report a
+mathematical mismatch, only on invalid parameters.  :func:`run_checks`,
+the one way to run a check, checks every report's parameters, in report
+order, before any scan starts: each goes through
+:func:`hookcomb.partitions._require_int`, so a bool, a float or a tuple
+raises ``TypeError`` and a depth below its least value ``ValueError``, as
+a check over an empty range would compare nothing and still report a
 pass.
 
 Every brute-force route lists the partitions of a perimeter through one
@@ -23,8 +26,8 @@ and keeps the members of a class; ``powers-of-two`` certifies that walk
 on all 2^(n-1) partitions by their order, and ``gf-coefficients``
 compares the engine's ``enumerate_by_perimeter`` with it.  The library
 does not check itself: what it relies on is proven here.  :func:`run_checks`
-runs the checks in turn in this process; a report's ``elapsed_ms`` is
-its check's own time.
+runs the reports in turn in this process; a report's ``elapsed_ms`` is
+its scan's own time.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, product
 from math import isqrt
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .counting import (
     LargestPart,
@@ -197,6 +200,10 @@ def _generalized_pentagonals(limit: int) -> list[tuple[int, int, int]]:
 
 
 def _scan_franklin(max_size: int) -> Iterator[dict]:
+    """Involution, parity flip, size and perimeter preservation on all
+    distinct-part partitions of size <= max_size; fixed points sit exactly
+    at the generalized pentagonal sizes, one each, with the staircase shape
+    the surviving series terms predict."""
     fixed: list[tuple[int, ...]] = []
     for n, parts in _distinct_by_size(max_size):
         image = _franklin_parts(parts)
@@ -229,20 +236,14 @@ def _scan_franklin(max_size: int) -> Iterator[dict]:
             yield {"reason": "fixed-point shape", "size": size, **shape}
 
 
-def verify_franklin(max_size: int = 40) -> TheoremReport:
-    """Involution, parity flip, size and perimeter preservation on all
-    distinct-part partitions of size <= max_size; fixed points sit exactly
-    at the generalized pentagonal sizes, one each, with the staircase shape
-    the surviving series terms predict."""
-    _require_int(max_size, "max_size", 1)
-    return _report("franklin", {"max_size": max_size}, _scan_franklin(max_size))
-
-
 # ---------------------------------------------------------------------------
 # Counting theorems
 
 
 def _scan_euler_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
+    """Distinct-part and odd-part partitions with perimeter n are
+    equinumerous, counted by the Fibonacci number F(n): enumeration up to
+    enum_limit, the word-automaton count up to max_n."""
     for n in range(1, max_n + 1):
         routes = {
             f"automaton {d_distinct(1)}": count_by_perimeter(n, d_distinct(1)),
@@ -252,16 +253,6 @@ def _scan_euler_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
             routes["enumeration distinct"] = len(parts_by_perimeter(n, DISTINCT))
             routes["enumeration odd"] = len(parts_by_perimeter(n, ODD))
         yield from _disagreement({"n": n}, "fibonacci", fibonacci(n), routes)
-
-
-def verify_euler_analogue(max_n: int = 25, enum_limit: int = 16) -> TheoremReport:
-    """Distinct-part and odd-part partitions with perimeter n are
-    equinumerous, counted by the Fibonacci number F(n): enumeration up to
-    enum_limit, the word-automaton count up to max_n."""
-    _require_int(max_n, "max_n", 1)
-    _require_int(enum_limit, "enum_limit", 0)
-    params = {"max_n": max_n, "enum_limit": enum_limit}
-    return _report("euler-analogue", params, _scan_euler_analogue(max_n, enum_limit))
 
 
 def _order_mismatches(table: tuple[tuple[int, ...], ...], n: int) -> Iterator[dict]:
@@ -285,21 +276,16 @@ def _order_mismatches(table: tuple[tuple[int, ...], ...], n: int) -> Iterator[di
 
 
 def _scan_powers_of_two(max_n: int) -> Iterator[dict]:
+    """There are 2^(n-1) partitions with perimeter n: the brute-force walk
+    that every other brute-force route runs lists that many, each a
+    partition of perimeter n below the one before it, and the automaton
+    count agrees."""
     for n in range(1, max_n + 1):
         table = parts_by_perimeter(n)
         yield from _order_mismatches(table, n)
         routes = {"enumeration any": len(table), "automaton any": count_by_perimeter(n, UNRESTRICTED)}
         del table  # or the walk for n + 1 would run while this table is held
         yield from _disagreement({"n": n}, "closed_form", 1 << (n - 1), routes)
-
-
-def verify_powers_of_two(max_n: int = 16) -> TheoremReport:
-    """There are 2^(n-1) partitions with perimeter n: the brute-force walk
-    that every other brute-force route runs lists that many, each a
-    partition of perimeter n below the one before it, and the automaton
-    count agrees."""
-    _require_int(max_n, "max_n", 1)
-    return _report("powers-of-two", {"max_n": max_n}, _scan_powers_of_two(max_n))
 
 
 # The refined equinumerations of distinct against odd parts at perimeter n:
@@ -317,6 +303,8 @@ _REFINEMENT_CASES = (
 
 
 def _scan_refinements(max_n: int) -> Iterator[dict]:
+    """The three refined equinumerations between distinct-part and odd-part
+    partitions of fixed perimeter, with their binomial counts."""
     for n in range(1, max_n + 1):
         distinct = parts_by_perimeter(n, DISTINCT)
         odd = parts_by_perimeter(n, ODD)
@@ -333,13 +321,6 @@ def _scan_refinements(max_n: int) -> Iterator[dict]:
                     "automaton distinct": 0 if a is None else _digit(row, n, a),
                 }
                 yield from _disagreement({"n": n, "k": k, "case": label}, "binomial", closed(n, k), routes)
-
-
-def verify_refinements(max_n: int = 14) -> TheoremReport:
-    """The three refined equinumerations between distinct-part and odd-part
-    partitions of fixed perimeter, with their binomial counts."""
-    _require_int(max_n, "max_n", 1)
-    return _report("refinements", {"max_n": max_n}, _scan_refinements(max_n))
 
 
 def _parity_split_binomials(n: int) -> tuple[int, int]:
@@ -361,6 +342,10 @@ def _parity_split_routes(n: int, enum_limit: int) -> dict[str, list[int]]:
 
 
 def _scan_pentagonal_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
+    """The even/odd-length excess over distinct-part partitions of fixed
+    perimeter follows the period-6 pattern 0, -1, -1, 0, 1, 1; four
+    computations (closed form, the automaton's parity split, binomial
+    sums, enumeration) and the series expansion of -q / (1 - q + q^2) agree."""
     m = _monomials(("q",))
     series = expand(RationalGF(m(-1, q=1), m() - m(q=1) + m(q=2)), max_n)
     for n in range(1, max_n + 1):
@@ -370,17 +355,6 @@ def _scan_pentagonal_analogue(max_n: int, enum_limit: int) -> Iterator[dict]:
         if n >= 4:
             routes["negated_shift"] = -excess_e(n - 3)
         yield from _disagreement({"n": n}, "closed_form", excess_e(n), routes)
-
-
-def verify_pentagonal_analogue(max_n: int = 30, enum_limit: int = 16) -> TheoremReport:
-    """The even/odd-length excess over distinct-part partitions of fixed
-    perimeter follows the period-6 pattern 0, -1, -1, 0, 1, 1; four
-    computations (closed form, the automaton's parity split, binomial
-    sums, enumeration) and the series expansion of -q / (1 - q + q^2) agree."""
-    _require_int(max_n, "max_n", 1)
-    _require_int(enum_limit, "enum_limit", 0)
-    params = {"max_n": max_n, "enum_limit": enum_limit}
-    return _report("pentagonal-analogue", params, _scan_pentagonal_analogue(max_n, enum_limit))
 
 
 def _block_sequences(budget: int, d: int):
@@ -408,6 +382,11 @@ def gclass_by_block_grammar(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
+    """For gap parameter d, the three families (parts differing by at least
+    d; parts congruent to 1 mod d+1; the residue-and-gap class) are
+    equinumerous at every perimeter, match the word-automaton count, and the
+    block grammar spells each member of the residue-and-gap class exactly
+    once: its sequences are as many as the members, and spell the same set."""
     dd, mo, gc = d_distinct(d), mod_one(d), g_class(d)
     for n in range(1, max_n + 1):
         g_set = set(parts_by_perimeter(n, gc))
@@ -427,33 +406,7 @@ def _scan_d_chain(d: int, max_n: int) -> Iterator[dict]:
             yield {"n": n, "d": d, "route": f"block grammar {gc}", "set_difference_sample": sample}
 
 
-def verify_d_chain(d: int, max_n: int = 18) -> TheoremReport:
-    """For gap parameter d, the three families (parts differing by at least
-    d; parts congruent to 1 mod d+1; the residue-and-gap class) are
-    equinumerous at every perimeter, match the word-automaton count, and the
-    block grammar spells each member of the residue-and-gap class exactly
-    once: its sequences are as many as the members, and spell the same set."""
-    _require_int(d, "d", 1)
-    _require_int(max_n, "max_n", 1)
-    return _report("d-chain", {"d": d, "max_n": max_n}, _scan_d_chain(d, max_n))
-
-
-def _scan_gf_coefficients(c: ConstraintClass, qbound: int) -> Iterator[dict]:
-    expanded = expand(gf_of_class(c), qbound)
-    tables = [parts_by_perimeter(n, c) for n in range(1, qbound + 1)]
-    terms = (((parts[0], len(parts), n), 1) for n, table in enumerate(tables, 1) for parts in table)
-    brute = _brute_series(("x", "y", "q"), terms, qbound)
-    yield from _series_disagreement({"class": str(c)}, expanded, {"enumeration": brute})
-    for n, table in enumerate(tables, 1):
-        engine = tuple(p.parts for p in enumerate_by_perimeter(n, c))
-        if engine != table:  # sample both from the first position that differs
-            i = next((i for i, (a, b) in enumerate(zip(engine, table)) if a != b), min(len(engine), len(table)))
-            head = slice(i, i + 3)
-            sample = {"engine": [list(p) for p in engine[head]], "enumeration": [list(p) for p in table[head]]}
-            yield {"class": str(c), "n": n, "versus": "engine enumeration", "index": i, **sample}
-
-
-# the gate's gap parameters d: one d-chain job and three gf-coefficients classes each
+# the gate's gap parameters d: one d-chain report and three gf-coefficients classes each
 _GAP_PARAMETERS = (1, 2, 3, 4, 5)
 
 
@@ -464,17 +417,25 @@ def _all_classes() -> list[ConstraintClass]:
     return out
 
 
-def verify_gf_coefficients(qbound: int = 12) -> TheoremReport:
+def _scan_gf_coefficients(qbound: int) -> Iterator[dict]:
     """For every class, at each of the gate's gap parameters, the closed
     rational form matches, coefficient by coefficient in x, y and q, the
     brute-force sum over enumerated partitions of x^(largest) y^(length)
     q^(perimeter); and at each perimeter the engine enumerator lists the
     brute-force partitions, in the same order."""
-    _require_int(qbound, "qbound", 1)
-    classes = _all_classes()
-    params = {"qbound": qbound, "classes": [str(c) for c in classes]}
-    scan = chain.from_iterable(_scan_gf_coefficients(c, qbound) for c in classes)
-    return _report("gf-coefficients", params, scan)
+    for c in _all_classes():
+        expanded = expand(gf_of_class(c), qbound)
+        tables = [parts_by_perimeter(n, c) for n in range(1, qbound + 1)]
+        terms = (((parts[0], len(parts), n), 1) for n, table in enumerate(tables, 1) for parts in table)
+        brute = _brute_series(("x", "y", "q"), terms, qbound)
+        yield from _series_disagreement({"class": str(c)}, expanded, {"enumeration": brute})
+        for n, table in enumerate(tables, 1):
+            engine = tuple(p.parts for p in enumerate_by_perimeter(n, c))
+            if engine != table:  # sample both from the first position that differs
+                i = next((i for i, (a, b) in enumerate(zip(engine, table)) if a != b), min(len(engine), len(table)))
+                head = slice(i, i + 3)
+                sample = {"engine": [list(p) for p in engine[head]], "enumeration": [list(p) for p in table[head]]}
+                yield {"class": str(c), "n": n, "versus": "engine enumeration", "index": i, **sample}
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +498,17 @@ def _series_andrews_rhs(qbound: int) -> MultiPoly:
 
 
 def _scan_andrews_identity(qbound: int) -> Iterator[dict]:
+    """Three expressions for the signed count of distinct-part partitions
+    graded by size and largest-part-plus-length agree termwise: the
+    alternating q-series, raw enumeration, and the surviving pentagonal
+    terms.  Enumeration after Franklin cancellation is checked as a fourth
+    route."""
     routes = {
         "enumeration": _series_andrews_middle(qbound),
         "franklin-paired": _series_andrews_franklin(qbound),
         "pentagonal": _series_andrews_rhs(qbound),
     }
     yield from _series_disagreement({}, _series_andrews_lhs(qbound), routes)
-
-
-def verify_andrews_identity(qbound: int = 15) -> TheoremReport:
-    """Three expressions for the signed count of distinct-part partitions
-    graded by size and largest-part-plus-length agree termwise: the
-    alternating q-series, raw enumeration, and the surviving pentagonal
-    terms.  Enumeration after Franklin cancellation is checked as a fourth
-    route."""
-    _require_int(qbound, "qbound", 1)
-    return _report("andrews-identity", {"qbound": qbound}, _scan_andrews_identity(qbound))
 
 
 def _series_refined_lhs(qbound: int) -> MultiPoly:
@@ -596,7 +552,13 @@ def regrade_limit(qbound: int) -> int:
     return g
 
 
-def _scan_refined_identity(qbound: int, g_limit: int) -> Iterator[dict]:
+def _scan_refined_identity(qbound: int) -> Iterator[dict]:
+    """The two-variable refinement of the pentagonal-type identity: the
+    alternating series, the enumeration of distinct-part partitions graded
+    by largest part, length and size, and the staircase-product series all
+    agree; substituting x -> y, y -> -y collapses it to the single-variable
+    identity; and regrading the enumeration by perimeter, to
+    :func:`regrade_limit`, recovers the rational form for distinct parts."""
     lhs = _series_refined_lhs(qbound)
     routes = {"enumeration": _series_refined_middle(qbound), "staircase-product": _series_refined_rhs(qbound)}
     yield from _series_disagreement({}, lhs, routes)
@@ -606,23 +568,12 @@ def _scan_refined_identity(qbound: int, g_limit: int) -> Iterator[dict]:
     collapsed = lhs.substitute({"x": m(y=1), "y": m(-1, y=1)})
     andrews = _series_andrews_lhs(qbound) - m()
     yield from _series_disagreement({}, collapsed, {"collapsed-to-single-variable": andrews})
-    # regrade by perimeter: x^(largest) y^(length) q^(perimeter), truncated at g_limit
+    # regrade by perimeter: x^(largest) y^(length) q^(perimeter), truncated
+    # where every distinct-part partition of that perimeter fits in qbound
+    g_limit = regrade_limit(qbound)
     terms = (((parts[0], len(parts), parts[0] + len(parts) - 1), 1) for _, parts in _distinct_by_size(qbound))
     regraded = _brute_series(("x", "y", "q"), terms, g_limit)
     yield from _series_disagreement({}, expand(gf_of_class(DISTINCT), g_limit), {"perimeter-regrade": regraded})
-
-
-def verify_refined_identity(qbound: int = 15) -> TheoremReport:
-    """The two-variable refinement of the pentagonal-type identity: the
-    alternating series, the enumeration of distinct-part partitions graded
-    by largest part, length and size, and the staircase-product series all
-    agree; substituting x -> y, y -> -y collapses it to the single-variable
-    identity; and regrading the enumeration by perimeter recovers the
-    rational form for distinct parts."""
-    _require_int(qbound, "qbound", 1)
-    g_limit = regrade_limit(qbound)
-    params = {"qbound": qbound, "regrade_perimeter_limit": g_limit}
-    return _report("refined-identity", params, _scan_refined_identity(qbound, g_limit))
 
 
 def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
@@ -662,17 +613,11 @@ def rogers_fine_sides(qbound: int) -> tuple[MultiPoly, MultiPoly]:
 
 
 def _scan_rogers_fine(qbound: int) -> Iterator[dict]:
-    lhs, rhs = rogers_fine_sides(qbound)
-    yield from _series_disagreement({}, lhs, {"right side": rhs})
-
-
-def verify_rogers_fine(qbound: int = 10) -> TheoremReport:
     """Both sides of the Rogers-Fine transformation, specialized with
     alpha = aq, beta = bq, tau = btq so every coefficient is an integer
     polynomial in a, b, t, agree termwise to the q-degree bound."""
-    _require_int(qbound, "qbound", 1)
-    params = {"qbound": qbound, "alpha": "a*q", "beta": "b*q", "tau": "b*t*q"}
-    return _report("rogers-fine", params, _scan_rogers_fine(qbound))
+    lhs, rhs = rogers_fine_sides(qbound)
+    yield from _series_disagreement({}, lhs, {"right side": rhs})
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +647,10 @@ _CONGRUENCE_MIN_N = max(_congruence_arguments(step, offset, 0).start for _, step
 
 
 def _scan_congruences(max_n: int, enum_limit: int) -> Iterator[dict]:
+    """The seven stated congruences for distinct-part perimeter counts, for
+    every argument (multiplier form) up to max_n; the parity splits are
+    checked against the binomial sums at every argument, and the fast
+    counts against enumeration for small arguments."""
     for label, step, offset, which, modulus, residue in _CONGRUENCE_FAMILIES:
         for arg in _congruence_arguments(step, offset, max_n):
             case = {"family": label, "argument": arg, "modulus": modulus, "residue": residue}
@@ -718,17 +667,9 @@ def _scan_congruences(max_n: int, enum_limit: int) -> Iterator[dict]:
                     yield {**case, "h_DE": even, "h_DO": odd}
 
 
-def verify_congruences(max_n: int = 60, enum_limit: int = 16) -> TheoremReport:
-    """The seven stated congruences for distinct-part perimeter counts, for
-    every argument (multiplier form) up to max_n; the parity splits are
-    checked against the binomial sums at every argument, and the fast
-    counts against enumeration for small arguments."""
-    _require_int(max_n, "max_n", _CONGRUENCE_MIN_N)
-    _require_int(enum_limit, "enum_limit", 0)
-    return _report("congruences", {"max_n": max_n, "enum_limit": enum_limit}, _scan_congruences(max_n, enum_limit))
-
-
 def _scan_fibonacci(max_add: int, max_div: int) -> Iterator[dict]:
+    """The addition formula F(m+n) = F(m+1) F(n) + F(m) F(n-1) and the
+    divisibility rule m | n implies F(m) | F(n)."""
     fib = [fibonacci(i) for i in range(max(2 * max_add, max_div) + 1)]
     for m in range(0, max_add + 1):
         for n in range(1, max_add + 1):
@@ -742,31 +683,39 @@ def _scan_fibonacci(max_add: int, max_div: int) -> Iterator[dict]:
                 yield {"claim": "divisibility", "m": m, "n": n, "F_m": fib[m], "F_n": fib[n]}
 
 
-def verify_fibonacci(max_add: int = 30, max_div: int = 60) -> TheoremReport:
-    """The addition formula F(m+n) = F(m+1) F(n) + F(m) F(n-1) and the
-    divisibility rule m | n implies F(m) | F(n)."""
-    _require_int(max_add, "max_add", 1)
-    _require_int(max_div, "max_div", 1)
-    return _report("fibonacci", {"max_add": max_add, "max_div": max_div}, _scan_fibonacci(max_add, max_div))
-
-
 # ---------------------------------------------------------------------------
 # Registry
 
 
-CHECKS: dict[str, Callable[..., TheoremReport]] = {
-    "euler-analogue": verify_euler_analogue,
-    "powers-of-two": verify_powers_of_two,
-    "refinements": verify_refinements,
-    "pentagonal-analogue": verify_pentagonal_analogue,
-    "d-chain": verify_d_chain,
-    "gf-coefficients": verify_gf_coefficients,
-    "franklin": verify_franklin,
-    "andrews-identity": verify_andrews_identity,
-    "refined-identity": verify_refined_identity,
-    "rogers-fine": verify_rogers_fine,
-    "congruences": verify_congruences,
-    "fibonacci": verify_fibonacci,
+class _Check(NamedTuple):
+    """One verification check: its scan, which states the claim; each
+    parameter's (default, least value), a tuple default being swept, one
+    report per value; and the report params it adds, from the parameters."""
+
+    scan: Callable[..., Iterator[dict]]
+    params: dict[str, tuple]
+    shown: Callable[..., dict] = lambda **_: {}
+
+
+CHECKS: dict[str, _Check] = {
+    "euler-analogue": _Check(_scan_euler_analogue, {"max_n": (25, 1), "enum_limit": (16, 0)}),
+    "powers-of-two": _Check(_scan_powers_of_two, {"max_n": (16, 1)}),
+    "refinements": _Check(_scan_refinements, {"max_n": (14, 1)}),
+    "pentagonal-analogue": _Check(_scan_pentagonal_analogue, {"max_n": (30, 1), "enum_limit": (16, 0)}),
+    "d-chain": _Check(_scan_d_chain, {"d": (_GAP_PARAMETERS, 1), "max_n": (18, 1)}),
+    "gf-coefficients": _Check(
+        _scan_gf_coefficients, {"qbound": (12, 1)}, lambda qbound: {"classes": [str(c) for c in _all_classes()]}
+    ),
+    "franklin": _Check(_scan_franklin, {"max_size": (40, 1)}),
+    "andrews-identity": _Check(_scan_andrews_identity, {"qbound": (15, 1)}),
+    "refined-identity": _Check(
+        _scan_refined_identity, {"qbound": (15, 1)}, lambda qbound: {"regrade_perimeter_limit": regrade_limit(qbound)}
+    ),
+    "rogers-fine": _Check(
+        _scan_rogers_fine, {"qbound": (10, 1)}, lambda qbound: {"alpha": "a*q", "beta": "b*q", "tau": "b*t*q"}
+    ),
+    "congruences": _Check(_scan_congruences, {"max_n": (60, _CONGRUENCE_MIN_N), "enum_limit": (16, 0)}),
+    "fibonacci": _Check(_scan_fibonacci, {"max_add": (30, 1), "max_div": (60, 1)}),
 }
 
 
@@ -774,14 +723,14 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     """Run one named check, or all of them; reports sorted by check id
     (and gap parameter).  Unknown ids raise ValueError.  Overrides of None
     are ignored; any other that no selected check takes raises ValueError,
-    and ``all`` passes each override only to the checks that take it.
+    and ``all`` passes each override only to the checks that take it.  A
+    parameter left at a tuple default (d-chain's d) gives one report per
+    value; an override is one value, and a tuple there raises TypeError.
 
-    Each check, and d-chain once per gap parameter, runs in turn in this
-    process, in report order, so the exception a caller sees is the first
-    one in that order.  ``elapsed_ms`` is each check's own time.
+    Every report's parameters are checked, in report order, before any
+    scan starts; then each report's scan runs in turn in this process.
+    ``elapsed_ms`` is each report's own time.
     """
-    import inspect
-
     if check_id == "all":
         ids = sorted(CHECKS)
     elif check_id in CHECKS:
@@ -789,16 +738,18 @@ def run_checks(check_id: str = "all", **overrides) -> list[TheoremReport]:
     else:
         raise ValueError(f"unknown check {check_id!r} (known: all, {', '.join(sorted(CHECKS))})")
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    accepted = {cid: inspect.signature(CHECKS[cid]).parameters for cid in ids}
-    unknown = sorted(set(overrides).difference(*accepted.values()))
+    unknown = sorted(set(overrides).difference(*(CHECKS[cid].params for cid in ids)))
     if unknown:
         raise ValueError(f"{check_id} does not take {', '.join(unknown)}")
-    jobs: list[tuple[str, dict]] = []
+    jobs: list[tuple[_Check, str, dict]] = []
     for cid in ids:
-        kwargs = {k: v for k, v in overrides.items() if k in accepted[cid]}
-        if cid == "d-chain":
-            ds = [kwargs.pop("d")] if "d" in kwargs else list(_GAP_PARAMETERS)
-            jobs.extend((cid, {"d": d, **kwargs}) for d in ds)
-        else:
-            jobs.append((cid, kwargs))
-    return [CHECKS[cid](**kwargs) for cid, kwargs in jobs]
+        check = CHECKS[cid]
+        values = (
+            [overrides[name]] if name in overrides else default if isinstance(default, tuple) else [default]
+            for name, (default, _) in check.params.items()
+        )
+        jobs.extend((check, cid, dict(zip(check.params, chosen))) for chosen in product(*values))
+    for check, _, kwargs in jobs:
+        for name, value in kwargs.items():
+            _require_int(value, name, check.params[name][1])
+    return [_report(cid, {**kwargs, **check.shown(**kwargs)}, check.scan(**kwargs)) for check, cid, kwargs in jobs]

@@ -26,11 +26,7 @@ from hookcomb import (
     gf_of_class,
     make_partition,
     mod_one,
-    verify_andrews_identity,
-    verify_congruences,
-    verify_d_chain,
-    verify_refined_identity,
-    verify_rogers_fine,
+    run_checks,
 )
 from hookcomb.counting import binom, partitions_of_size, parts_by_perimeter
 from hookcomb.identities import gclass_by_block_grammar
@@ -191,7 +187,7 @@ def test_criterion_4_excess_four_ways():
 
 def test_criterion_5_d_chain():
     for d in range(1, 6):
-        report = verify_d_chain(d, max_n=18)
+        (report,) = run_checks("d-chain", d=d, max_n=18)
         assert report.passed, report.counterexample
         # one direct three-way spot check per d, independent of the harness
         n = 10
@@ -251,9 +247,9 @@ def test_criterion_7_franklin():
 
 
 def test_criterion_8_series_identities():
-    report = verify_andrews_identity(qbound=15)
+    (report,) = run_checks("andrews-identity", qbound=15)
     assert report.passed, report.counterexample
-    refined = verify_refined_identity(qbound=15)
+    (refined,) = run_checks("refined-identity", qbound=15)
     assert refined.passed, refined.counterexample
     assert refined.params["regrade_perimeter_limit"] == 7
     _ok("criterion 8: three-way series equalities to q^15, collapse and perimeter regrade")
@@ -264,7 +260,7 @@ def test_criterion_8_series_identities():
 
 
 def test_criterion_9_rogers_fine():
-    report = verify_rogers_fine(qbound=10)
+    (report,) = run_checks("rogers-fine", qbound=10)
     assert report.passed, report.counterexample
     _ok("criterion 9: Rogers-Fine two-sided equality to q^10 in a, b, t")
 
@@ -274,7 +270,7 @@ def test_criterion_9_rogers_fine():
 
 
 def test_criterion_10_congruences():
-    report = verify_congruences(max_n=60, enum_limit=16)
+    (report,) = run_checks("congruences", max_n=60, enum_limit=16)
     assert report.passed, report.counterexample
     assert fibonacci(9) == 34 and 34 % 16 == 2
     assert fibonacci(6) == 8 and 8 % 8 == 0

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,13 +10,14 @@ import pytest
 
 from hookcomb.cli import (
     EXIT_CLOSED_PIPE,
+    build_parser,
     main,
     parse_class_spec,
     parse_eval_spec,
     parse_range,
 )
 from hookcomb import identities
-from hookcomb.identities import CHECKS, TheoremReport
+from hookcomb.identities import CHECKS
 from hookcomb.counting import enumerate_by_perimeter
 from hookcomb.partitions import DISTINCT, UNRESTRICTED, d_distinct, g_class, make_partition
 from hookcomb.profile import from_profile
@@ -403,6 +405,32 @@ def test_verify_named_check_refuses_a_flag_it_does_not_take(capsys, argv, flag):
     assert (code, out, err) == (2, "", f"error: {argv[1]} does not take {flag}\n")
 
 
+def test_verify_takes_both_fibonacci_ranges(capsys):
+    code, out, err = run(capsys, "verify", "fibonacci", "--max-add", "3", "--max-div", "1")
+    assert (code, out, err) == (0, "[PASS] fibonacci (max_add=3 max_div=1)\n", "")
+
+
+def verify_flags() -> dict:
+    """dest -> argparse action, for each option of the verify subcommand."""
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {action.dest: action for action in subcommands.choices["verify"]._actions}
+
+
+def test_verify_has_a_flag_for_every_check_parameter():
+    flags = verify_flags()
+    missing = sorted({name for check in CHECKS.values() for name in check.params} - set(flags))
+    assert missing == []
+    assert flags["max_add"].option_strings == ["--max-add"] and flags["max_div"].option_strings == ["--max-div"]
+
+
+def test_verify_flag_help_names_each_check_that_takes_it_and_its_default():
+    flags = verify_flags()
+    for cid, check in CHECKS.items():
+        for name, (default, _) in check.params.items():
+            shown = ", ".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            assert f"{cid} (default {shown}" in flags[name].help, (cid, name, flags[name].help)
+
+
 def test_verify_all_reports_the_first_error_in_report_order(capsys):
     code, out, err = run(capsys, "verify", "all", "--max-n", "0")
     assert (code, out, err) == (2, "", "error: max_n must be at least 6, got 0\n")
@@ -416,10 +444,10 @@ def test_main_module_runs_nothing_when_imported_by_a_worker(capsys):
 
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
-    def failing_check():
-        return TheoremReport("always-fails", {}, counterexample={"n": 1})
+    def failing_scan():
+        yield {"n": 1}
 
-    monkeypatch.setitem(CHECKS, "always-fails", failing_check)
+    monkeypatch.setitem(CHECKS, "always-fails", identities._Check(failing_scan, {}))
     code, out, _ = run(capsys, "verify", "always-fails")
     assert code == 1
     assert out.startswith("[FAIL] always-fails")

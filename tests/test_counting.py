@@ -19,7 +19,7 @@ from hookcomb import (
     fibonacci,
     g_class,
     mod_one,
-    verify_refinements,
+    run_checks,
 )
 from hookcomb import counting
 from hookcomb.counting import partitions_of_size, parts_by_perimeter
@@ -313,7 +313,8 @@ def test_refined_counts_walk_once_per_row(monkeypatch):
         return real(aut, e_shift, n_weight)
 
     monkeypatch.setattr(counting, "_walk", counted)
-    assert verify_refinements(max_n=14).passed
+    (report,) = run_checks("refinements", max_n=14)
+    assert report.passed
     assert walks == list(range(1, 15))  # one row per perimeter, each E weighing 2^n
     walks.clear()
     assert count_refined(12, NumParts(4), DISTINCT) == 56  # binom(8, 3)

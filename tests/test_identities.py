@@ -1,4 +1,3 @@
-import inspect
 import json
 
 import pytest
@@ -13,18 +12,6 @@ from hookcomb import (
     from_profile,
     make_partition,
     run_checks,
-    verify_andrews_identity,
-    verify_congruences,
-    verify_d_chain,
-    verify_euler_analogue,
-    verify_fibonacci,
-    verify_franklin,
-    verify_gf_coefficients,
-    verify_pentagonal_analogue,
-    verify_powers_of_two,
-    verify_refined_identity,
-    verify_refinements,
-    verify_rogers_fine,
 )
 from hookcomb import counting, identities
 from hookcomb.counting import LargestPart, NumParts, Rank, count_refined, partitions_of_size
@@ -42,6 +29,12 @@ from hookcomb.identities import (
 )
 from hookcomb.partitions import DISTINCT, ODD, UNRESTRICTED, g_class
 from hookcomb.series import MultiPoly, RationalGF, expand, pochhammer
+
+
+def one_report(check_id, **params):
+    """The one report that ``run_checks`` gives for ``check_id`` at ``params``."""
+    (report,) = run_checks(check_id, **params)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +72,7 @@ def test_franklin_parts_agrees_with_franklin():
 )
 def test_verify_franklin_reports_a_bad_image(monkeypatch, broken, reason):
     monkeypatch.setattr(identities, "_franklin_parts", broken)
-    report = verify_franklin(max_size=10)
+    report = one_report("franklin", max_size=10)
     assert report.status == "fail"
     assert report.counterexample["reason"] == reason
     assert report.counterexample["partition"] == [3]
@@ -114,21 +107,21 @@ def report_id(r):
 @pytest.mark.parametrize(
     "report",
     [
-        verify_euler_analogue(max_n=18, enum_limit=12),
-        verify_powers_of_two(max_n=12),
-        verify_refinements(max_n=11),
-        verify_pentagonal_analogue(max_n=20, enum_limit=12),
-        verify_d_chain(1, max_n=12),
-        verify_d_chain(2, max_n=12),
-        verify_d_chain(4, max_n=12),
-        verify_gf_coefficients(qbound=9),
-        verify_gf_coefficients(qbound=1),
-        verify_franklin(max_size=25),
-        verify_andrews_identity(qbound=12),
-        verify_refined_identity(qbound=12),
-        verify_rogers_fine(qbound=8),
-        verify_congruences(max_n=36, enum_limit=12),
-        verify_fibonacci(max_add=20, max_div=40),
+        one_report("euler-analogue", max_n=18, enum_limit=12),
+        one_report("powers-of-two", max_n=12),
+        one_report("refinements", max_n=11),
+        one_report("pentagonal-analogue", max_n=20, enum_limit=12),
+        one_report("d-chain", d=1, max_n=12),
+        one_report("d-chain", d=2, max_n=12),
+        one_report("d-chain", d=4, max_n=12),
+        one_report("gf-coefficients", qbound=9),
+        one_report("gf-coefficients", qbound=1),
+        one_report("franklin", max_size=25),
+        one_report("andrews-identity", qbound=12),
+        one_report("refined-identity", qbound=12),
+        one_report("rogers-fine", qbound=8),
+        one_report("congruences", max_n=36, enum_limit=12),
+        one_report("fibonacci", max_add=20, max_div=40),
     ],
     ids=report_id,
 )
@@ -138,7 +131,7 @@ def test_checks_pass(report):
 
 def test_d_chain_rejects_bad_d():
     with pytest.raises(ValueError, match="^d must be at least 1, got 0$"):
-        verify_d_chain(0)
+        run_checks("d-chain", d=0)
 
 
 def test_d_chain_table_counts():
@@ -212,15 +205,16 @@ def test_d_chain_brute_force_holds_no_perimeter_table():
 
     code = (
         "import tracemalloc\n"
-        "from hookcomb.identities import verify_d_chain\n"
+        "from hookcomb.identities import run_checks\n"
         "tracemalloc.start()\n"
-        "print(verify_d_chain(1, max_n=18).status, tracemalloc.get_traced_memory()[1])\n"
+        "(report,) = run_checks('d-chain', d=1, max_n=18)\n"
+        "print(report.status, tracemalloc.get_traced_memory()[1])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=subprocess_env())
     status, peak = out.stdout.split()
     assert status == "pass"
     peak_mb = int(peak) / 2**20
-    assert peak_mb < 8, f"verify_d_chain(1, max_n=18) peaked at {peak_mb:.1f} MB"
+    assert peak_mb < 8, f"d-chain at d=1, max_n=18 peaked at {peak_mb:.1f} MB"
 
 
 def text_route_partition(initial_ns, trailing_ns, d):
@@ -283,7 +277,7 @@ def test_powers_of_two_catches_a_damaged_table(damage, caught, monkeypatch):
         return tuple(table)
 
     monkeypatch.setattr(identities, "parts_by_perimeter", damaged)
-    report = verify_powers_of_two(max_n=9)
+    report = one_report("powers-of-two", max_n=9)
     assert not report.passed
     ce = report.counterexample
     assert {k: ce[k] for k in ("n", *caught)} == {"n": 7, **caught}
@@ -303,11 +297,13 @@ def test_gf_coefficients_catches_an_off_by_q_division(monkeypatch):
         return real(num, den, qbound) + series.MultiPoly.monomial(den.variables, 1, {"q": 1}, qbound)
 
     monkeypatch.setattr(series, "_divide", off_by_q)
-    ce = next(identities._scan_gf_coefficients(DISTINCT, 6))
+    with monkeypatch.context() as distinct_only:
+        distinct_only.setattr(identities, "_all_classes", lambda: [DISTINCT])
+        ce = next(identities._scan_gf_coefficients(6))
     assert (ce["class"], ce["versus"]) == ("distinct", "enumeration")
     assert ce["monomial"] == {"x": 0, "y": 0, "q": 1}
     # the gate's form reports the first class, with the same monomial
-    report = verify_gf_coefficients(qbound=6)
+    report = one_report("gf-coefficients", qbound=6)
     assert not report.passed
     assert (report.counterexample["class"], report.counterexample["monomial"]) == ("any", {"x": 0, "y": 0, "q": 1})
 
@@ -315,7 +311,7 @@ def test_gf_coefficients_catches_an_off_by_q_division(monkeypatch):
 def test_d_chain_catches_a_block_word_outside_the_class(monkeypatch):
     # spell every block sequence as EEN, the word of (2), which is not in gclass(2)
     monkeypatch.setattr(identities, "block_word_bits", lambda initial_ns, trailing_ns, d: (3, 0b100))
-    report = verify_d_chain(2, max_n=4)
+    report = one_report("d-chain", d=2, max_n=4)
     assert not report.passed
     assert report.counterexample["route"] == "block grammar gclass:2"
     assert report.counterexample["n"] == 1
@@ -332,7 +328,7 @@ def test_d_chain_catches_a_block_sequence_spelled_twice(monkeypatch):
             yield trailing_ns
 
     monkeypatch.setattr(identities, "_block_sequences", doubled)
-    report = verify_d_chain(2, max_n=8)
+    report = one_report("d-chain", d=2, max_n=8)
     assert not report.passed
     assert report.counterexample["route"] == "block grammar gclass:2"
     assert report.counterexample["n"] == 1
@@ -350,7 +346,8 @@ def test_gf_coefficients_catches_a_faulty_engine_enumeration(fault, monkeypatch)
         return listed[::-1] if n == 9 else listed
 
     monkeypatch.setattr(identities, "enumerate_by_perimeter", faulty)
-    ce = next(identities._scan_gf_coefficients(DISTINCT, 9))
+    monkeypatch.setattr(identities, "_all_classes", lambda: [DISTINCT])
+    ce = next(identities._scan_gf_coefficients(9))
     assert (ce["class"], ce["n"], ce["versus"]) == ("distinct", 9, "engine enumeration")
     if fault == "drop-6321":
         # (5,4,3,2,1), the last distinct partition of perimeter 9, follows (6,3,2,1)
@@ -391,7 +388,7 @@ def _row_off_by_one_at(monkeypatch, faults):
 def test_refinements_catch_a_wrong_refined_count(key, k, monkeypatch):
     # a second fault later in the scan must not be the one reported
     _row_off_by_one_at(monkeypatch, {(6, key, k), (9, key, 2)})
-    ce = verify_refinements(max_n=10).counterexample
+    ce = one_report("refinements", max_n=10).counterexample
     binomial = count_refined(6, key(k), DISTINCT)
     assert ce == {
         "n": 6,
@@ -407,7 +404,7 @@ def test_refinements_report_the_smallest_of_several_faults(monkeypatch):
     # in scan order (n, k, case): at n = 5 the rank case at k = 0 comes
     # before the length case at k = 1; the largest-part fault is at n = 7
     _row_off_by_one_at(monkeypatch, {(5, NumParts, 1), (7, LargestPart, 1), (5, Rank, 0)})
-    ce = verify_refinements(max_n=8).counterexample
+    ce = one_report("refinements", max_n=8).counterexample
     assert (ce["n"], ce["k"], ce["case"], ce["route"]) == (5, 0, REFINEMENT_CASES[Rank], "automaton distinct")
 
 
@@ -420,7 +417,7 @@ def test_refinements_catch_a_row_read_one_digit_off(shift, monkeypatch):
 
     monkeypatch.setattr(identities, "_row", shifted)
     # the one partition of perimeter 1 has rank 0, the scan's first read
-    ce = verify_refinements().counterexample
+    ce = one_report("refinements").counterexample
     assert ce == {
         "n": 1,
         "k": 0,
@@ -448,7 +445,7 @@ def test_refinements_catch_a_missing_odd_partition(dropped, k, key, monkeypatch)
         return tuple(parts for parts in real(n, c) if not (c == ODD and parts == dropped))
 
     monkeypatch.setattr(identities, "parts_by_perimeter", dropping)
-    ce = verify_refinements(max_n=9).counterexample
+    ce = one_report("refinements", max_n=9).counterexample
     assert (ce["n"], ce["k"], ce["case"], ce["route"]) == (7, k, REFINEMENT_CASES[key], "enumeration odd")
     assert ce["got"] == ce["binomial"] - 1
 
@@ -457,14 +454,14 @@ def test_refinements_catch_a_missing_odd_partition(dropped, k, key, monkeypatch)
     "check, name, route, monomial, lhs, rhs",
     [
         # no distinct-part partition gives y q^2: (2) gives -y^3 q^2
-        (verify_andrews_identity, "_series_andrews_middle", "enumeration", {"y": 1, "q": 2}, 0, 1),
-        (verify_andrews_identity, "_series_andrews_franklin", "franklin-paired", {"y": 1, "q": 2}, 0, 1),
-        (verify_andrews_identity, "_series_andrews_rhs", "pentagonal", {"y": 1, "q": 2}, 0, 1),
+        ("andrews-identity", "_series_andrews_middle", "enumeration", {"y": 1, "q": 2}, 0, 1),
+        ("andrews-identity", "_series_andrews_franklin", "franklin-paired", {"y": 1, "q": 2}, 0, 1),
+        ("andrews-identity", "_series_andrews_rhs", "pentagonal", {"y": 1, "q": 2}, 0, 1),
         # (2) is the one distinct-part partition of size 2: x^2 y q^2, and
         # -y^3 q^2 once collapsed
-        (verify_refined_identity, "_series_refined_middle", "enumeration", {"x": 2, "y": 1, "q": 2}, 1, 2),
-        (verify_refined_identity, "_series_refined_rhs", "staircase-product", {"x": 2, "y": 1, "q": 2}, 1, 2),
-        (verify_refined_identity, "_series_andrews_lhs", "collapsed-to-single-variable", {"y": 3, "q": 2}, -1, 0),
+        ("refined-identity", "_series_refined_middle", "enumeration", {"x": 2, "y": 1, "q": 2}, 1, 2),
+        ("refined-identity", "_series_refined_rhs", "staircase-product", {"x": 2, "y": 1, "q": 2}, 1, 2),
+        ("refined-identity", "_series_andrews_lhs", "collapsed-to-single-variable", {"y": 3, "q": 2}, -1, 0),
     ],
     ids=["andrews-enumeration", "franklin-paired", "pentagonal", "refined-enumeration", "staircase-product", "collapsed"],
 )
@@ -473,7 +470,7 @@ def test_series_checks_name_the_route_with_a_wrong_term(check, name, route, mono
     real = getattr(identities, name)
     term = MultiPoly.monomial(tuple(monomial), 1, monomial)
     monkeypatch.setattr(identities, name, lambda qbound: real(qbound) + term)
-    ce = check(qbound=6).counterexample
+    ce = one_report(check, qbound=6).counterexample
     assert ce == {"versus": route, "monomial": monomial, "lhs": lhs, "rhs": rhs}
 
 
@@ -487,7 +484,7 @@ def test_refined_identity_catches_a_wrong_direct_form(monkeypatch):
         return RationalGF(gf.numerator + gf.denominator * xyq, gf.denominator)
 
     monkeypatch.setattr(identities, "gf_of_class", wrong)
-    ce = verify_refined_identity(qbound=6).counterexample
+    ce = one_report("refined-identity", qbound=6).counterexample
     assert ce == {"versus": "perimeter-regrade", "monomial": {"x": 1, "y": 1, "q": 1}, "lhs": 2, "rhs": 1}
 
 
@@ -499,7 +496,7 @@ def test_rogers_fine_names_the_right_side(monkeypatch):
         return lhs, rhs + MultiPoly.monomial(rhs.variables, 1, {"b": 1, "t": 1, "q": 1})
 
     monkeypatch.setattr(identities, "rogers_fine_sides", wrong)
-    ce = verify_rogers_fine(qbound=4).counterexample
+    ce = one_report("rogers-fine", qbound=4).counterexample
     assert ce == {"versus": "right side", "monomial": {"a": 0, "b": 1, "t": 1, "q": 1}, "lhs": 1, "rhs": 2}
 
 
@@ -507,7 +504,7 @@ def test_franklin_catches_fixed_points_at_the_wrong_sizes(monkeypatch):
     # pentagonal sizes to 10 are 1, 2, 5, 7; drop 7 from the prediction
     real = identities._generalized_pentagonals
     monkeypatch.setattr(identities, "_generalized_pentagonals", lambda limit: [e for e in real(limit) if e[0] != 7])
-    ce = verify_franklin(max_size=10).counterexample
+    ce = one_report("franklin", max_size=10).counterexample
     assert ce == {"reason": "fixed-point sizes", "expected": [1, 2, 5], "got": [1, 2, 5, 7]}
 
 
@@ -524,7 +521,7 @@ def test_franklin_catches_fixed_points_at_the_wrong_sizes(monkeypatch):
 def test_franklin_catches_a_fixed_point_of_the_wrong_shape(wrong, size, partition, y_exponent, length, monkeypatch):
     real = identities._generalized_pentagonals
     monkeypatch.setattr(identities, "_generalized_pentagonals", lambda limit: [wrong(*e) for e in real(limit)])
-    ce = verify_franklin(max_size=10).counterexample
+    ce = one_report("franklin", max_size=10).counterexample
     shape = {"partition": partition, "expected_y_exponent": y_exponent, "expected_length": length}
     assert ce == {"reason": "fixed-point shape", "size": size, **shape}
 
@@ -543,7 +540,7 @@ def test_franklin_catches_a_fixed_point_of_the_wrong_shape(wrong, size, partitio
 )
 def test_congruences_catch_a_false_family(family, values, monkeypatch):
     monkeypatch.setattr(identities, "_CONGRUENCE_FAMILIES", identities._CONGRUENCE_FAMILIES + (family,))
-    ce = verify_congruences(max_n=12, enum_limit=12).counterexample
+    ce = one_report("congruences", max_n=12, enum_limit=12).counterexample
     label, _, _, _, modulus, residue = family
     assert ce == {"family": label, "modulus": modulus, "residue": residue, **values}
 
@@ -561,13 +558,13 @@ def test_congruences_catch_a_false_family(family, values, monkeypatch):
 def test_fibonacci_catches_a_wrong_value(index, kwargs, expected, monkeypatch):
     real = identities.fibonacci
     monkeypatch.setattr(identities, "fibonacci", lambda i: real(i) + (i == index))
-    assert verify_fibonacci(**kwargs).counterexample == expected
+    assert one_report("fibonacci", **kwargs).counterexample == expected
 
 
 @pytest.mark.parametrize("max_add, max_div", [(3, 1), (30, 1), (1, 30)])
 def test_fibonacci_takes_either_range_longer(max_add, max_div):
     # the addition formula reads F(2 * max_add), divisibility F(max_div)
-    assert verify_fibonacci(max_add=max_add, max_div=max_div).passed
+    assert one_report("fibonacci", max_add=max_add, max_div=max_div).passed
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +604,7 @@ def test_series_identities_invert_no_series(monkeypatch):
     monkeypatch.setattr(series, "series_inverse", refuse)
     # the identities module should not hold the name at all
     monkeypatch.setattr(identities, "series_inverse", refuse, raising=False)
-    for report in (verify_andrews_identity(), verify_refined_identity(), verify_rogers_fine()):
+    for report in (one_report("andrews-identity"), one_report("refined-identity"), one_report("rogers-fine")):
         assert report.status == "pass", report.check_id
 
 
@@ -728,7 +725,7 @@ def test_series_identities_form_no_pochhammer_product(monkeypatch):
     monkeypatch.setattr(series, "pochhammer", refuse)
     # the identities module should not hold the name at all
     monkeypatch.setattr(identities, "pochhammer", refuse, raising=False)
-    for report in (verify_andrews_identity(), verify_refined_identity(), verify_rogers_fine()):
+    for report in (one_report("andrews-identity"), one_report("refined-identity"), one_report("rogers-fine")):
         assert report.status == "pass", report.check_id
 
 def test_regrade_limit_values():
@@ -757,7 +754,7 @@ def test_regrade_limit_matches_its_definition():
 
 
 def test_report_schema():
-    report = verify_fibonacci(max_add=5, max_div=10)
+    report = one_report("fibonacci", max_add=5, max_div=10)
     data = report.as_dict()
     assert list(data) == ["check_id", "params", "status", "elapsed_ms"]
     assert data["status"] == "pass"
@@ -772,14 +769,14 @@ def test_report_status_follows_the_counterexample():
 
 
 def test_reports_deterministic():
-    a = verify_pentagonal_analogue(max_n=12, enum_limit=8).as_dict()
-    b = verify_pentagonal_analogue(max_n=12, enum_limit=8).as_dict()
+    a = one_report("pentagonal-analogue", max_n=12, enum_limit=8).as_dict()
+    b = one_report("pentagonal-analogue", max_n=12, enum_limit=8).as_dict()
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert a == b
 
 
-@pytest.mark.parametrize("check", [verify_pentagonal_analogue, verify_congruences])
+@pytest.mark.parametrize("check", ["pentagonal-analogue", "congruences"])
 def test_parity_split_routes_catch_a_wrong_split(check, monkeypatch):
     # shift both halves by one: their difference, and so the excess, is
     # unchanged, so only the binomial-sum route can disagree
@@ -790,7 +787,7 @@ def test_parity_split_routes_catch_a_wrong_split(check, monkeypatch):
         return even + 1, odd + 1
 
     monkeypatch.setattr(identities, "count_parity_split", shifted)
-    report = check(enum_limit=0)
+    report = one_report(check, enum_limit=0)
     assert not report.passed
     assert "binomial_sums" in json.dumps(report.counterexample)
 
@@ -828,22 +825,35 @@ def test_run_checks_runs_each_check_in_turn_in_this_process(monkeypatch):
     calls = []
 
     def recording(cid):
-        def check(**kwargs):
+        def scan(**kwargs):
             calls.append((cid, kwargs))
-            return TheoremReport(cid, kwargs)
+            yield from ()
 
-        return check
+        return scan
 
-    for cid in CHECKS:
-        monkeypatch.setitem(CHECKS, cid, recording(cid))
+    for cid, check in CHECKS.items():
+        monkeypatch.setitem(CHECKS, cid, check._replace(scan=recording(cid)))
     reports = run_checks("all")
+    defaults = {cid: {name: default for name, (default, _) in check.params.items()} for cid, check in CHECKS.items()}
     expected = [
         (cid, kwargs)
         for cid in sorted(CHECKS)
-        for kwargs in ([{"d": d} for d in (1, 2, 3, 4, 5)] if cid == "d-chain" else [{}])
+        for kwargs in ([{**defaults[cid], "d": d} for d in (1, 2, 3, 4, 5)] if cid == "d-chain" else [defaults[cid]])
     ]
     assert calls == expected
-    assert [(r.check_id, r.params) for r in reports] == expected
+    assert [(r.check_id, r.params) for r in reports] == [
+        (cid, {**kwargs, **CHECKS[cid].shown(**kwargs)}) for cid, kwargs in expected
+    ]
+
+
+def test_run_checks_refuses_a_bad_parameter_before_any_scan(monkeypatch):
+    # d-chain's d is the fifth report's; the four before it must not scan
+    def no_scan(*args):
+        raise AssertionError("scan work started")
+
+    monkeypatch.setattr(identities, "_report", no_scan)
+    with pytest.raises(ValueError, match="^d must be at least 1, got 0$"):
+        run_checks("all", d=0)
 
 
 @pytest.mark.parametrize(
@@ -866,52 +876,46 @@ def test_run_checks_raises_what_the_serial_order_raises(overrides, error, messag
 @pytest.mark.parametrize(
     "check, kwargs",
     [
-        (verify_euler_analogue, {"max_n": 0}),
-        (verify_euler_analogue, {"enum_limit": -1}),
-        (verify_powers_of_two, {"max_n": 0}),
-        (verify_refinements, {"max_n": -2}),
-        (verify_pentagonal_analogue, {"max_n": 0}),
-        (verify_pentagonal_analogue, {"enum_limit": -1}),
-        (verify_d_chain, {"d": 1, "max_n": 0}),
-        (verify_gf_coefficients, {"qbound": 0}),
-        (verify_franklin, {"max_size": 0}),
-        (verify_andrews_identity, {"qbound": 0}),
-        (verify_refined_identity, {"qbound": -1}),
-        (verify_rogers_fine, {"qbound": -3}),
-        (verify_congruences, {"max_n": 0}),
-        (verify_congruences, {"max_n": 5}),  # the 6n families would be skipped
-        (verify_congruences, {"enum_limit": -1}),
-        (verify_fibonacci, {"max_add": 0}),
-        (verify_fibonacci, {"max_div": 0}),
+        ("euler-analogue", {"max_n": 0}),
+        ("euler-analogue", {"enum_limit": -1}),
+        ("powers-of-two", {"max_n": 0}),
+        ("refinements", {"max_n": -2}),
+        ("pentagonal-analogue", {"max_n": 0}),
+        ("pentagonal-analogue", {"enum_limit": -1}),
+        ("d-chain", {"d": 1, "max_n": 0}),
+        ("gf-coefficients", {"qbound": 0}),
+        ("franklin", {"max_size": 0}),
+        ("andrews-identity", {"qbound": 0}),
+        ("refined-identity", {"qbound": -1}),
+        ("rogers-fine", {"qbound": -3}),
+        ("congruences", {"max_n": 0}),
+        ("congruences", {"max_n": 5}),  # the 6n families would be skipped
+        ("congruences", {"enum_limit": -1}),
+        ("fibonacci", {"max_add": 0}),
+        ("fibonacci", {"max_div": 0}),
     ],
-    ids=lambda v: getattr(v, "__name__", None) or ",".join(f"{k}={x}" for k, x in v.items()),
+    ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()),
 )
 def test_checks_reject_empty_ranges(check, kwargs):
     with pytest.raises(ValueError):
-        check(**kwargs)
+        run_checks(check, **kwargs)
 
 
-# every parameter of every registered check (d-chain with its d) is an
-# integer: (check, the other arguments it needs, name)
-INTEGER_PARAMETERS = [
-    (check, base, name)
-    for check, base in ((CHECKS[cid], {"d": 1} if cid == "d-chain" else {}) for cid in sorted(CHECKS))
-    for name in inspect.signature(check).parameters
-]
+# every parameter of every registered check is an integer: (check id, name)
+INTEGER_PARAMETERS = [(cid, name) for cid in sorted(CHECKS) for name in CHECKS[cid].params]
 
 
-@pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
-@pytest.mark.parametrize(
-    "check, base, name", INTEGER_PARAMETERS, ids=[f"{c.__name__}-{name}" for c, _, name in INTEGER_PARAMETERS]
-)
-def test_checks_refuse_bool_and_float_parameters_before_scanning(check, base, name, bad, monkeypatch):
+# a tuple is refused too: only d-chain's default d is swept, never an override
+@pytest.mark.parametrize("bad", [True, 2.0, (1, 2)], ids=repr)
+@pytest.mark.parametrize("check, name", INTEGER_PARAMETERS, ids=[f"{c}-{name}" for c, name in INTEGER_PARAMETERS])
+def test_checks_refuse_bool_and_float_parameters_before_scanning(check, name, bad, monkeypatch):
     # True >= 1 and 2.0 >= 1, so a range check alone lets both through
     def no_scan(*args):
         raise AssertionError("scan work started")
 
     monkeypatch.setattr(identities, "_report", no_scan)
     with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(bad).__name__}$"):
-        check(**{**base, name: bad})
+        run_checks(check, **{name: bad})
 
 
 def test_gf_coefficients_rejects_an_empty_range_before_scanning(monkeypatch):
@@ -920,7 +924,7 @@ def test_gf_coefficients_rejects_an_empty_range_before_scanning(monkeypatch):
 
     monkeypatch.setattr(identities, "gf_of_class", no_work)
     with pytest.raises(ValueError):
-        verify_gf_coefficients(qbound=0)
+        one_report("gf-coefficients", qbound=0)
 
 
 def test_report_takes_the_first_counterexample_only():
@@ -958,9 +962,9 @@ def test_series_disagreement_names_the_first_route_and_its_lowest_monomial():
 @pytest.mark.parametrize(
     "check, kwargs, got",
     [
-        (verify_euler_analogue, {"max_n": 8, "enum_limit": 8}, 5 + 1),
-        (verify_powers_of_two, {"max_n": 8}, 16 + 1),
-        (verify_d_chain, {"d": 1, "max_n": 8}, 5 + 1),
+        ("euler-analogue", {"max_n": 8, "enum_limit": 8}, 5 + 1),
+        ("powers-of-two", {"max_n": 8}, 16 + 1),
+        ("d-chain", {"d": 1, "max_n": 8}, 5 + 1),
     ],
     ids=["euler-analogue", "powers-of-two", "d-chain"],
 )
@@ -969,7 +973,7 @@ def test_counterexample_names_the_automaton_route(check, kwargs, got, monkeypatc
         return count_by_perimeter(n, c) + (n == 5)
 
     monkeypatch.setattr(identities, "count_by_perimeter", off_by_one_at_5)
-    report = check(**kwargs)
+    report = one_report(check, **kwargs)
     assert not report.passed
     ce = report.counterexample
     assert (ce["n"], ce["got"]) == (5, got)
@@ -977,4 +981,4 @@ def test_counterexample_names_the_automaton_route(check, kwargs, got, monkeypatc
 
 
 def test_zero_enum_limit_still_compares():
-    assert verify_euler_analogue(max_n=5, enum_limit=0).passed
+    assert one_report("euler-analogue", max_n=5, enum_limit=0).passed
